@@ -14,7 +14,7 @@ from math import factorial
 
 from .errors import DomainError
 from .modforms import ModularFormSpec, decompose_weight, miller_form_spec
-from .qseries import TruncatedSeries, eisenstein_series, eta_unit, gamma_k, j_series
+from .qseries import TruncatedSeries, _exact, eisenstein_series, eta_unit, gamma_k, j_series
 
 __all__ = [
     "FaberPoly",
@@ -29,17 +29,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaberPoly:
     """F(t) = x_0 t^D + x_1 t^{D-1} + ... + x_D with exact rational x_i.
 
     ``coeffs`` is descending, so coeffs[0] = x_0 = y(0) (1 for Miller
-    input, making F monic).
+    input, making F monic).  Integral x_i are stored as Python ints and
+    the others as Fractions; both compare, hash and print alike.
     """
 
     k: int
     m: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -97,7 +101,7 @@ class PrincipalPart:
 
     k: int
     m: int
-    A: tuple[Fraction, ...]
+    A: tuple[int | Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -147,14 +151,14 @@ def principal_part(spec: ModularFormSpec) -> PrincipalPart:
 
     Writing f = q^m * y(q) with y the unit window, the quotient equals
     q^{-D} * y(q) / (U^ell E_{k'}) mod q, U = prod (1-q^n)^24, so only
-    the D+1 unit coefficients matter and the cost is independent of k.
+    the D+1 unit coefficients matter.  U^{-ell} and 1/E_{k'} come from
+    Miller's power recurrence in O(D^2) integer steps whatever ell is, so
+    the cost is independent of k.
     """
-    d = spec.degree
-    order = d + 1
-    unit = eta_unit(order) ** spec.ell * eisenstein_series(spec.k_prime, order)
+    order = spec.degree + 1
     y = TruncatedSeries(0, spec.unit_coeffs, order)
-    a = y * unit.truncate(order).inverse(order)
-    return PrincipalPart(k=spec.k, m=spec.m, A=tuple(a.coeff(i) for i in range(d + 1)))
+    a = y * eta_unit(order) ** -spec.ell * eisenstein_series(spec.k_prime, order).inverse(order)
+    return PrincipalPart(k=spec.k, m=spec.m, A=tuple(a.coeff(i) for i in range(order)))
 
 
 def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:
@@ -162,17 +166,15 @@ def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:
 
     For each s = D, D-1, ..., 0 the coefficient of q^{-s} gives
     sum_{r=s}^{D} c_{r,s} x_{D-r} = A(D-s), and c_{s,s} = 1 lets x_{D-s}
-    be read off directly.  Exact, no pivoting.
+    be read off directly.  Exact, no pivoting; on Python ints when the
+    principal part is integral, as it is for every Miller window.
     """
     d = spec.degree
     a = principal_part(spec).A
     table = j_power_table(d).c
-    x: list[Fraction] = [Fraction(0)] * (d + 1)
+    x = [0] * (d + 1)
     for s in range(d, -1, -1):
-        acc = a[d - s]
-        for r in range(s + 1, d + 1):
-            acc -= table[r][s] * x[d - r]
-        x[d - s] = acc
+        x[d - s] = a[d - s] - sum(table[r][s] * x[d - r] for r in range(s + 1, d + 1))
     return FaberPoly(k=spec.k, m=spec.m, coeffs=tuple(x))
 
 
@@ -196,7 +198,7 @@ def closed_form_poly(k: int, m: int) -> FaberPoly:
             36 * (8 * ell**2 - 991 * ell + 29721),
             32 * (72 * ell**3 - 6669 * ell**2 + 118990 * ell - 1152093),
         )
-    return FaberPoly(k=k, m=m, coeffs=tuple(Fraction(c) for c in coeffs))
+    return FaberPoly(k=k, m=m, coeffs=coeffs)
 
 
 def closed_form_check(k: int, m: int) -> bool:

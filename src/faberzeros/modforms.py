@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .qseries import TruncatedSeries, delta_series, eisenstein_series, _frac
+from .qseries import TruncatedSeries, delta_series, eisenstein_series, _exact
 
 __all__ = [
     "ALLOWED_K_PRIME",
@@ -70,10 +70,10 @@ class ModularFormSpec:
 
     weight: WeightDecomposition
     m: int
-    unit_coeffs: tuple[Fraction, ...]
+    unit_coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_coeffs", tuple(_frac(c) for c in self.unit_coeffs))
+        object.__setattr__(self, "unit_coeffs", tuple(_exact(c) for c in self.unit_coeffs))
         if not 0 <= self.m <= self.weight.ell:
             raise DomainError(
                 f"vanishing order m={self.m} out of range 0..{self.weight.ell} for k={self.weight.k}"
@@ -140,7 +140,7 @@ def custom_form_spec(k: int, m: int, a) -> ModularFormSpec:
     weight = decompose_weight(k)
     if not 0 <= m <= weight.ell:
         raise DomainError(f"m={m} out of range 0..{weight.ell} for k={k}")
-    a = tuple(_frac(x) for x in a)
+    a = tuple(_exact(x) for x in a)
     d = weight.ell - m
     if len(a) != d:
         raise DomainError(f"expected {d} coefficients a(1..D), got {len(a)}")

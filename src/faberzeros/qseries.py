@@ -1,11 +1,23 @@
 """Exact truncated Laurent series in the nome q, and the classical generators.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
-Every series carries the explicit order through which it is known, and
-arithmetic only ever shrinks that validity, never extends it silently.
+Coefficients are exact rationals in canonical form: a Python ``int`` when
+integral, a ``fractions.Fraction`` otherwise.  Every series carries the
+explicit order through which it is known, and arithmetic only ever shrinks
+that validity, never extends it silently.
+
+Two kernels do all the work, on whatever mix of ints and Fractions the
+coefficients are, so integral series (U, E_k' for k' != 12, Delta, j) run
+entirely on Python ints:
+
+- ``_convolve``, the truncated product;
+- ``_power``, J.C.P. Miller's recurrence for v = u^alpha (Knuth, TAOCP
+  vol. 2, 4.7), m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i},
+  which costs O(n^2) whatever alpha is; alpha = -1 is the inverse.
+
 The generators cover the Eisenstein series E_k for the weights that occur
 as k' in the decomposition k = 12*ell + k' (plus k = 12), the discriminant
-Delta = q * prod (1-q^n)^24, and Klein's j = E_4^3 / Delta.
+Delta = q * U with U = prod (1-q^n)^24 from the sigma_1 log-derivative
+recurrence, and Klein's j = E_4^3 / Delta.
 """
 
 from __future__ import annotations
@@ -28,13 +40,39 @@ __all__ = [
 ]
 
 
-def _frac(x) -> Fraction:
-    """Coerce ints, strings like '-65520/691', and Fractions to Fraction."""
+def _exact(x) -> int | Fraction:
+    """Coerce ints, strings like '-65520/691', and Fractions to an exact
+    rational in canonical form: int when integral, Fraction otherwise."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, str):
+        x = Fraction(x)
     if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+        return x.numerator if x.denominator == 1 else x
     raise DomainError(f"not an exact rational: {x!r}")
+
+
+def _convolve(a, b, n: int) -> list:
+    """Coefficients 0..n-1 of the product of the coefficient sequences a and b."""
+    return [
+        sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))))
+        for k in range(n)
+    ]
+
+
+def _power(u, alpha: int, n: int) -> list:
+    """Coefficients 0..n-1 of u^alpha for a coefficient sequence with u[0] != 0.
+
+    Miller's recurrence m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i}
+    from v_0 = u_0^alpha.  Every quotient is exact; when u is integral and
+    u_0 = +-1 every v_m is an integer, so the whole run stays on ints.
+    """
+    u0 = u[0]
+    v = [_exact(Fraction(u0) ** alpha)]
+    for m in range(1, n):
+        s = sum(((alpha + 1) * i - m) * u[i] * v[m - i] for i in range(1, min(m + 1, len(u))))
+        v.append(_exact(Fraction(s, m * u0)))
+    return v
 
 
 class TruncatedSeries:
@@ -50,7 +88,7 @@ class TruncatedSeries:
     __slots__ = ("valuation", "order", "coeffs")
 
     def __init__(self, valuation: int, coeffs, order: int | None = None):
-        coeffs = [_frac(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if order is None:
             order = valuation + len(coeffs)
         if order - valuation != len(coeffs):
@@ -86,11 +124,11 @@ class TruncatedSeries:
     @classmethod
     def from_terms(cls, terms: dict, order: int) -> "TruncatedSeries":
         """Build a series from an {exponent: coefficient} mapping, modulo q^order."""
-        live = {n: _frac(c) for n, c in terms.items() if n < order and c != 0}
+        live = {n: c for n, c in terms.items() if n < order and c != 0}
         if not live:
             return cls.zero(order)
         v = min(live)
-        coeffs = [live.get(n, Fraction(0)) for n in range(v, order)]
+        coeffs = [live.get(n, 0) for n in range(v, order)]
         return cls(v, coeffs, order)
 
     # -- basic queries -----------------------------------------------------
@@ -98,12 +136,12 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> int | Fraction:
         """Coefficient of q^n; exact zero below the valuation, error at/above order."""
         if n >= self.order:
             raise DomainError(f"coefficient of q^{n} unknown: series valid modulo q^{self.order}")
         if n < self.valuation:
-            return Fraction(0)
+            return 0
         return self.coeffs[n - self.valuation]
 
     def truncate(self, order: int) -> "TruncatedSeries":
@@ -130,7 +168,7 @@ class TruncatedSeries:
 
         def at(s, n):
             i = n - s.valuation
-            return s.coeffs[i] if 0 <= i < len(s.coeffs) else Fraction(0)
+            return s.coeffs[i] if 0 <= i < len(s.coeffs) else 0
 
         coeffs = [at(self, n) + at(other, n) for n in range(v, order)]
         return TruncatedSeries(v, coeffs, order)
@@ -144,7 +182,7 @@ class TruncatedSeries:
         If the constant term lies at or beyond the truncation order the
         known part is unchanged.
         """
-        c = _frac(c)
+        c = _exact(c)
         if c == 0 or self.order <= 0:
             return self
         v = min(self.valuation, 0)
@@ -159,7 +197,7 @@ class TruncatedSeries:
 
     def scale(self, c) -> "TruncatedSeries":
         """Multiply by an exact scalar."""
-        c = _frac(c)
+        c = _exact(c)
         if c == 0:
             return TruncatedSeries.zero(self.order)
         return TruncatedSeries(self.valuation, [c * x for x in self.coeffs], self.order)
@@ -175,42 +213,31 @@ class TruncatedSeries:
         if self.is_zero() or other.is_zero():
             return TruncatedSeries.zero(order)
         v = self.valuation + other.valuation
-        n_out = order - v
-        if n_out <= 0:
+        if order <= v:
             return TruncatedSeries.zero(order)
-        out = [Fraction(0)] * n_out
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            jmax = min(len(other.coeffs), n_out - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(v, out, order)
+        return TruncatedSeries(v, _convolve(self.coeffs, other.coeffs, order - v), order)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("series powers must be non-negative integers")
-        if n == 0:
-            if self.is_zero():
-                raise DomainError("0**0 is undefined for series")
-            return TruncatedSeries.one(self.order - self.valuation)
-        result = None
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        """self^n by Miller's recurrence, in O(terms^2) for every n.
+
+        With u = q^v w and w known to t terms, u^n = q^(nv) w^n is known
+        to t terms as well.  Negative n needs a unit (valuation 0).
+        """
+        if not isinstance(n, int):
+            raise DomainError("series powers must be integers")
+        if self.is_zero():
+            if n < 1:
+                raise DomainError("non-positive powers of the zero series are undefined")
+            return TruncatedSeries.zero(self.order * n)
+        if n < 0 and self.valuation != 0:
+            raise DomainError("negative powers need a unit (valuation 0)")
+        v, terms = self.valuation * n, self.order - self.valuation
+        return TruncatedSeries(v, _power(self.coeffs, n, terms), v + terms)
 
     def inverse(self, order: int | None = None) -> "TruncatedSeries":
-        """Multiplicative inverse, valid modulo q^order.
+        """Multiplicative inverse, valid modulo q^order: Miller's recurrence at alpha = -1.
 
         The inverse of a series with valuation v known modulo q^N can be
         certified modulo q^(N - 2v) at best; asking for more raises.
@@ -229,10 +256,7 @@ class TruncatedSeries:
         n_unit = order + v  # unit-part terms of the result
         if n_unit <= 0:
             return TruncatedSeries.zero(order)
-        unit = list(self.coeffs[:n_unit])
-        unit += [Fraction(0)] * (n_unit - len(unit))
-        inv_unit = _invert_unit(unit, n_unit)
-        return TruncatedSeries(-v, inv_unit, order)
+        return TruncatedSeries(-v, _power(self.coeffs, -1, n_unit), order)
 
     # -- comparisons / serialization ----------------------------------------
 
@@ -262,7 +286,7 @@ class TruncatedSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TruncatedSeries":
-        return cls(d["valuation"], [Fraction(c) for c in d["coeffs"]], d["order"])
+        return cls(d["valuation"], d["coeffs"], d["order"])
 
     def __repr__(self):
         return f"TruncatedSeries(valuation={self.valuation}, coeffs={self.coeffs}, order={self.order})"
@@ -283,49 +307,6 @@ class TruncatedSeries:
                 parts.append(f"{c}*q^{n}")
         parts.append(f"O(q^{self.order})")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _invert_unit(unit: list[Fraction], n: int) -> list[Fraction]:
-    """Invert a power series with nonzero constant term, modulo q^n.
-
-    Newton iteration doubles the number of correct terms per step; plain
-    long division is used below a small cutoff.  Both are exact.
-    """
-    if unit[0] == 0:
-        raise DomainError("non-invertible: constant term is zero")
-    if n <= 8:
-        return _invert_unit_longdiv(unit, n)
-    half = (n + 1) // 2
-    x = _invert_unit(unit, half)
-    # x_{2m} = x_m * (2 - u * x_m), truncated to n terms
-    ux = _poly_mul_trunc(unit, x, n)
-    two_minus = [-c for c in ux]
-    two_minus[0] += 2
-    return _poly_mul_trunc(x, two_minus, n)
-
-
-def _invert_unit_longdiv(unit: list[Fraction], n: int) -> list[Fraction]:
-    inv0 = Fraction(1) / unit[0]
-    out = [inv0]
-    for k in range(1, n):
-        acc = Fraction(0)
-        for i in range(1, min(k, len(unit) - 1) + 1):
-            acc += unit[i] * out[k - i]
-        out.append(-inv0 * acc)
-    return out
-
-
-def _poly_mul_trunc(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x == 0:
-            continue
-        jmax = min(len(b), n - i)
-        for j in range(jmax):
-            y = b[j]
-            if y != 0:
-                out[i + j] += x * y
-    return out
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -388,23 +369,24 @@ def eisenstein_series(k: int, order: int) -> TruncatedSeries:
         raise DomainError("eisenstein_series requires order >= 1")
     if k == 0:
         return TruncatedSeries.one(order)
-    coeffs = [Fraction(1)] + [-g * sigma(n, k - 1) for n in range(1, order)]
+    coeffs = [1] + [-g * sigma(n, k - 1) for n in range(1, order)]
     return TruncatedSeries(0, coeffs, order)
 
 
 def eta_unit(order: int) -> TruncatedSeries:
-    """The unit part prod_{n>=1} (1-q^n)^24 of Delta, modulo q^order.
+    """The unit part U = prod_{n>=1} (1-q^n)^24 of Delta, modulo q^order.
 
-    Each factor (1-q^n)^24 is raised by binary exponentiation with
-    truncation at every step; factors with n >= order are 1 mod q^order.
+    From the logarithmic derivative q U'/U = -24 sum_{n>=1} sigma_1(n) q^n:
+    n u_n = -24 sum_{i=1..n} sigma_1(i) u_{n-i}, u_0 = 1, exact on integers
+    in O(order^2).
     """
     if order < 1:
         raise DomainError("eta_unit requires order >= 1")
-    result = TruncatedSeries.one(order)
+    s1 = [0] + [sigma(i, 1) for i in range(1, order)]
+    u = [1]
     for n in range(1, order):
-        factor = TruncatedSeries.from_terms({0: 1, n: -1}, order)
-        result = (result * factor**24).truncate(order)
-    return result
+        u.append(-24 * sum(s1[i] * u[n - i] for i in range(1, n + 1)) // n)
+    return TruncatedSeries(0, u, order)
 
 
 def delta_series(order: int) -> TruncatedSeries:

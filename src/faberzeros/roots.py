@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import DomainError, NumericalError
 from .faber import FaberPoly
 
@@ -190,6 +188,8 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, max_iter: int = 500) -> RootS
 
 def _polish_extended(coeffs, roots):
     """One Newton step per root at 50 decimal digits."""
+    import mpmath  # imported here, by its only user, to keep it out of every other run
+
     with mpmath.workdps(50):
         cs = [mpmath.mpc(c) for c in coeffs]
         polished = []

@@ -30,6 +30,7 @@ from faberzeros.qseries import (
     gamma_k,
     j_series,
 )
+from faberzeros.roots import ComplexPoly
 
 
 # --- j-power table -------------------------------------------------------------
@@ -114,6 +115,26 @@ def test_faber_integer_coefficients_for_miller_input():
         assert all(c.denominator == 1 for c in poly.coeffs)
 
 
+def test_faber_coefficients_are_ints_when_integral():
+    poly = faber_polynomial(miller_form_spec(240, 12))
+    assert all(type(c) is int for c in poly.coeffs)
+    # the same values built from Fractions normalize to ints
+    as_fractions = FaberPoly(k=poly.k, m=poly.m, coeffs=tuple(Fraction(c) for c in poly.coeffs))
+    assert as_fractions.coeffs == poly.coeffs and hash(as_fractions) == hash(poly)
+    assert all(type(c) is int for c in as_fractions.coeffs)
+    assert FaberPoly.from_json_dict(poly.to_json_dict()) == poly
+    assert str(as_fractions) == str(poly)
+    # rescaling divides by the Fraction 2k, so ints stay exact
+    scaled = ComplexPoly.rescaled_from_faber(poly, 240)
+    exact = [Fraction(c) / Fraction(480) ** s for s, c in enumerate(poly.coeffs)]
+    assert scaled.coeffs == ComplexPoly.from_coefficients([float(c) for c in exact]).coeffs
+
+    custom = faber_polynomial(custom_form_spec(48, 1, [Fraction(1, 3), 2, 0]))
+    assert any(type(c) is Fraction for c in custom.coeffs)
+    assert all(type(c) is int for c in custom.coeffs if c.denominator == 1)
+    assert all(c.denominator != 1 for c in custom.coeffs if type(c) is Fraction)
+
+
 def test_faber_degree_law():
     for k in (12, 24, 36, 50, 120):
         ell = decompose_weight(k).ell
@@ -134,6 +155,13 @@ def test_closed_form_36_1_coefficients():
 def test_closed_form_checks():
     assert closed_form_check(24, 1)
     assert closed_form_check(48, 1)  # the cubic at ell = 4, m = 1
+
+
+def test_closed_form_checks_at_huge_weights():
+    for k in (2400, 240_000, 2_400_000, 24_000_000):
+        ell = decompose_weight(k).ell
+        for m in (ell - 1, ell - 2, ell - 3):
+            assert closed_form_check(k, m), (k, m)
 
 
 def test_closed_form_domain():
@@ -252,6 +280,29 @@ def test_reconstruction_for_random_custom_windows():
         for n in range(ell + 1):
             expected = spec.unit_coeffs[n - m] if n >= m else 0
             assert rec.coeff(n) == expected, (k, m, n)
+
+
+def two_step_principal_part(spec):
+    """The principal part by the earlier route: U^ell E_{k'} first, then one inverse."""
+    order = spec.degree + 1
+    unit = eta_unit(order) ** spec.ell * eisenstein_series(spec.k_prime, order)
+    a = TruncatedSeries(0, spec.unit_coeffs, order) * unit.truncate(order).inverse(order)
+    return tuple(a.coeff(i) for i in range(order))
+
+
+def test_principal_part_matches_two_step_route():
+    rng = random.Random(1997)
+    ells = sorted({0, 1, 2, 3, 299, 300} | {rng.randint(4, 298) for _ in range(10)})
+    for ell in ells:
+        for k_prime in (0, 4, 6, 8, 10, 14):
+            k = 12 * ell + k_prime
+            if k == 0:
+                continue
+            m = max(0, ell - rng.randint(0, 12))
+            d = ell - m
+            window = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+            for spec in (miller_form_spec(k, m), custom_form_spec(k, m, window)):
+                assert principal_part(spec).A == two_step_principal_part(spec), (k, m)
 
 
 def test_principal_part_convolution_equivalence():

@@ -1,6 +1,7 @@
 """Exact series arithmetic: worked examples, independent oracles, ring axioms."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -171,12 +172,65 @@ def test_inv_cannot_extend_precision():
 
 
 def test_inv_newton_path_matches_longdiv_oracle():
-    # long enough to exercise the Newton doubling branch
+    # a long inverse (Miller's recurrence at alpha = -1) against long division
     n = 40
     u = eta_unit(n)
     got = series_inv(u, n)
     expected = poly_inv_longdiv(list(u.coeffs), n)
     assert list(got.coeffs) == expected
+
+
+# --- powers (Miller's recurrence) -----------------------------------------------
+
+
+def random_unit(rng, n, rational):
+    """A unit (valuation 0) known to n terms, integral or with small denominators."""
+    def draw():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rational else rng.randint(-9, 9)
+
+    lead = rng.choice([1, -1, 2, -3, Fraction(2, 3)] if rational else [1, -1, 2, -3])
+    return S(0, [lead] + [draw() for _ in range(n - 1)], n)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_negative_power_round_trip(rational):
+    rng = random.Random(1729 + rational)
+    for _ in range(40):
+        n_terms = rng.randint(1, 12)
+        u = random_unit(rng, n_terms, rational)
+        e = rng.randint(1, 7)
+        assert u**-e * u**e == S.one(n_terms), (u, e)
+        assert u**-1 == u.inverse()
+
+
+def test_integral_unit_powers_stay_on_ints():
+    u = eta_unit(30)
+    for e in (-5000, -1, 0, 3, 700):
+        assert all(type(c) is int for c in (u**e).coeffs)
+
+
+def test_negative_power_of_non_unit_raises():
+    for s in (S(1, [1, 2], 3), S(-1, [1, 5, 7], 2), S.zero(4)):
+        with pytest.raises(DomainError):
+            s**-1
+    with pytest.raises(DomainError):
+        S.zero(4) ** 0
+
+
+def eta24_factorwise(order):
+    """prod_{n<order} (1 - q^n)^24 as integers, one factor (1 - q^n) at a time."""
+    out = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        for _ in range(24):
+            for i in range(order - 1, n - 1, -1):
+                out[i] -= out[i - n]
+    return out
+
+
+def test_eta_unit_matches_factorwise_product():
+    oracle = eta24_factorwise(60)
+    for n in range(1, 61):
+        assert eta_unit(n) == S(0, oracle[:n], n), n
 
 
 # --- sigma / gamma -------------------------------------------------------------
