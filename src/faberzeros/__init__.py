@@ -27,10 +27,8 @@ from .halfplane import (
     evaluate_j,
     in_fundamental_domain,
     invert_j,
-    nontrivial_zeros,
     predicted_zero,
     reduce_to_fundamental_domain,
-    verify_predictions,
     zero_report,
 )
 from .modforms import (
@@ -48,8 +46,6 @@ from .qseries import (
     eta_unit,
     gamma_k,
     j_series,
-    series_inv,
-    series_mul,
     sigma,
 )
 from .roots import (
@@ -102,19 +98,15 @@ __all__ = [
     "match_roots",
     "miller_basis_series",
     "miller_form_spec",
-    "nontrivial_zeros",
     "ostrowski_bound",
     "predicted_zero",
     "principal_part",
     "reduce_to_fundamental_domain",
     "renormalized_coeffs",
     "scaled_faber_roots",
-    "series_inv",
-    "series_mul",
     "sigma",
     "truncated_exp_inverse_zeros",
     "truncated_exp_poly",
-    "verify_predictions",
     "zero_report",
     "__version__",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NumericalError
@@ -23,7 +22,7 @@ from .halfplane import OUT_OF_REGIME, predicted_zero, zero_report
 from .modforms import decompose_weight, miller_basis_series, miller_form_spec
 from .roots import truncated_exp_inverse_zeros
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -35,22 +34,6 @@ ZERO_COLUMNS = (
     "t_re", "t_im", "tau_re", "tau_im", "pred_re", "pred_im",
     "abs_err", "k_times_err",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: exactly one subcommand plus its knobs."""
-
-    subcommand: str
-    k: int | None = None
-    m: str | None = None
-    degree: int | None = None
-    k_min: int | None = None
-    k_max: int | None = None
-    k_step: int = 1000
-    tol: float = 1e-10
-    format: str = "json"
-    out: str | None = None
 
 
 def _fmt(x: float) -> str:
@@ -101,9 +84,9 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -148,16 +131,16 @@ def _doubling_grid(k_min: int, k_max: int) -> list[int]:
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_faber(config: RunConfig) -> int:
-    spec = miller_form_spec(config.k, _resolve_m(config.m, decompose_weight(config.k).ell))
+def cmd_faber(args: argparse.Namespace) -> int:
+    spec = miller_form_spec(args.k, _resolve_m(args.m, decompose_weight(args.k).ell))
     poly = faber_polynomial(spec)
-    if config.format == "json":
-        _emit(_json_text(poly.to_json_dict()) + "\n", config)
-    elif config.format == "csv":
+    if args.format == "json":
+        _emit(_json_text(poly.to_json_dict()) + "\n", args)
+    elif args.format == "csv":
         rows = [(poly.k, poly.m, poly.degree, s, str(c)) for s, c in enumerate(poly.coeffs)]
-        _emit(_csv_text(("k", "m", "D", "s", "x_s"), rows), config)
+        _emit(_csv_text(("k", "m", "D", "s", "x_s"), rows), args)
     else:
-        _emit(f"F_{{{poly.k},{poly.m}}}(t) = {poly}\n", config)
+        _emit(f"F_{{{poly.k},{poly.m}}}(t) = {poly}\n", args)
     return EXIT_OK
 
 
@@ -180,35 +163,35 @@ def _zero_rows(report):
     return rows
 
 
-def cmd_zeros(config: RunConfig) -> int:
-    spec = miller_form_spec(config.k, _resolve_m(config.m, decompose_weight(config.k).ell))
-    report = zero_report(spec, tol=config.tol, strict=False)
+def cmd_zeros(args: argparse.Namespace) -> int:
+    spec = miller_form_spec(args.k, _resolve_m(args.m, decompose_weight(args.k).ell))
+    report = zero_report(spec, tol=args.tol, strict=False)
     rows = _zero_rows(report)
-    if config.format == "json":
+    if args.format == "json":
         payload = [dict(zip(ZERO_COLUMNS, row)) for row in rows]
-        _emit(_json_text(payload) + "\n", config)
-    elif config.format == "csv":
-        _emit(_csv_text(ZERO_COLUMNS, rows), config)
+        _emit(_json_text(payload) + "\n", args)
+    elif args.format == "csv":
+        _emit(_csv_text(ZERO_COLUMNS, rows), args)
     else:
         lines = [f"zeros of the degree-{report.degree} Faber polynomial at k={report.k}, m={report.m}"]
         for row in rows:
             lines.append("  " + "  ".join(_csv_cell(c) for c in row[3:]))
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 
 
-def cmd_exp_zeros(config: RunConfig) -> int:
-    roots = truncated_exp_inverse_zeros(config.degree, tol=config.tol)
-    if config.format == "json":
-        _emit(_json_text(roots.to_json_dict()) + "\n", config)
-    elif config.format == "csv":
-        rows = [(config.degree, r + 1, z.real, z.imag) for r, z in enumerate(roots.roots)]
-        _emit(_csv_text(("D", "r", "re", "im"), rows), config)
+def cmd_exp_zeros(args: argparse.Namespace) -> int:
+    roots = truncated_exp_inverse_zeros(args.degree, tol=args.tol)
+    if args.format == "json":
+        _emit(_json_text(roots.to_json_dict()) + "\n", args)
+    elif args.format == "csv":
+        rows = [(args.degree, r + 1, z.real, z.imag) for r, z in enumerate(roots.roots)]
+        _emit(_csv_text(("D", "r", "re", "im"), rows), args)
     else:
-        lines = [f"inverse zeros of the degree-{config.degree} truncated exponential"]
+        lines = [f"inverse zeros of the degree-{args.degree} truncated exponential"]
         lines += [f"  z_{r + 1} = {_fmt(z.real)} + {_fmt(z.imag)}i" for r, z in enumerate(roots.roots)]
         lines.append(f"  residual {_fmt(roots.residual)}")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 
 
@@ -220,41 +203,41 @@ def _predicted_points(k: int, limits) -> list[tuple[int, int, float, float]]:
     return points
 
 
-def cmd_predict(config: RunConfig) -> int:
-    _even("k", config.k)
-    limits = truncated_exp_inverse_zeros(config.degree, tol=config.tol)
-    rows = _predicted_points(config.k, limits)
-    _emit_points(rows, config)
+def cmd_predict(args: argparse.Namespace) -> int:
+    _even("k", args.k)
+    limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol)
+    rows = _predicted_points(args.k, limits)
+    _emit_points(rows, args)
     return EXIT_OK
 
 
-def cmd_figure(config: RunConfig) -> int:
-    if config.degree < 1:
+def cmd_figure(args: argparse.Namespace) -> int:
+    if args.degree < 1:
         raise DomainError("figure requires D >= 1 (a constant polynomial has no zeros)")
-    for name, val in (("k-min", config.k_min), ("k-max", config.k_max), ("k-step", config.k_step)):
+    for name, val in (("k-min", args.k_min), ("k-max", args.k_max), ("k-step", args.k_step)):
         _even(name, val)
-    if config.k_min <= 0 or config.k_min > config.k_max or config.k_step <= 0:
+    if args.k_min <= 0 or args.k_min > args.k_max or args.k_step <= 0:
         raise DomainError("grid requires 0 < k-min <= k-max and k-step > 0")
-    limits = truncated_exp_inverse_zeros(config.degree, tol=config.tol)
+    limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol)
     rows = []
-    for k in range(config.k_min, config.k_max + 1, config.k_step):
+    for k in range(args.k_min, args.k_max + 1, args.k_step):
         rows.extend(_predicted_points(k, limits))
-    _emit_points(rows, config)
+    _emit_points(rows, args)
     return EXIT_OK
 
 
-def _emit_points(rows, config: RunConfig) -> None:
-    if config.format == "json":
+def _emit_points(rows, args: argparse.Namespace) -> None:
+    if args.format == "json":
         payload = [{"k": k, "r": r, "re": re_, "im": im} for k, r, re_, im in rows]
-        _emit(_json_text(payload) + "\n", config)
-    elif config.format == "csv":
-        _emit(_csv_text(("k", "r", "re", "im"), rows), config)
+        _emit(_json_text(payload) + "\n", args)
+    elif args.format == "csv":
+        _emit(_csv_text(("k", "r", "re", "im"), rows), args)
     else:
         lines = [f"k={k} r={r}: {_fmt(re_)} + {_fmt(im)}i" for k, r, re_, im in rows]
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Monitor k * deviation sequences over a doubling grid.
 
     Coefficient rows track k * |x_s s!/(2k)^s - 1| for s = 1..D (exact
@@ -262,10 +245,10 @@ def cmd_verify(config: RunConfig) -> int:
     entries whose roots are large enough to invert.  Exit 0 when every
     monitored sequence stays within 1.5x its first computed entry.
     """
-    d = config.degree
+    d = args.degree
     if d < 1 or d > 8:
         raise DomainError(f"verify requires 1 <= D <= 8, got {d}")
-    grid = _doubling_grid(config.k_min, config.k_max)
+    grid = _doubling_grid(args.k_min, args.k_max)
     coeff_rows = {s: [] for s in range(1, d + 1)}  # exact Fractions
     zero_rows = {r: [] for r in range(1, d + 1)}  # floats or None
     for k in grid:
@@ -277,7 +260,7 @@ def cmd_verify(config: RunConfig) -> int:
         devs = renormalized_coeffs(poly, k)
         for s in range(1, d + 1):
             coeff_rows[s].append(k * abs(devs[s]))
-        report = zero_report(spec, tol=config.tol, strict=False)
+        report = zero_report(spec, tol=args.tol, strict=False)
         for row in report.rows:
             zero_rows[row.r].append(None if row.status == OUT_OF_REGIME else row.k_times_err)
 
@@ -304,7 +287,7 @@ def cmd_verify(config: RunConfig) -> int:
         all_bounded &= ok
         table.append((f"zero_err[r={r}]", [OUT_OF_REGIME if v is None else v for v in seq], ok))
 
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "k_grid": grid,
             "rows": [
@@ -313,44 +296,44 @@ def cmd_verify(config: RunConfig) -> int:
             ],
             "all_bounded": all_bounded,
         }
-        _emit(_json_text(payload) + "\n", config)
-    elif config.format == "csv":
+        _emit(_json_text(payload) + "\n", args)
+    elif args.format == "csv":
         header = ("metric",) + tuple(f"k={k}" for k in grid) + ("bounded",)
         rows = [
             (name, *values, "yes" if ok else "no")
             for name, values, ok in table
         ]
-        _emit(_csv_text(header, rows), config)
+        _emit(_csv_text(header, rows), args)
     else:
         lines = ["k grid: " + " ".join(str(k) for k in grid)]
         for name, values, ok in table:
             rendered = " ".join(v if isinstance(v, str) else _fmt(v) for v in values)
             lines.append(f"{name}: {rendered}  [{'bounded' if ok else 'UNBOUNDED'}]")
         lines.append("all bounded" if all_bounded else "verification FAILED")
-        _emit("\n".join(lines) + "\n", config)
+        _emit("\n".join(lines) + "\n", args)
     return EXIT_OK if all_bounded else EXIT_VERIFY_FAILED
 
 
-def cmd_basis(config: RunConfig) -> int:
-    weight = decompose_weight(config.k)
+def cmd_basis(args: argparse.Namespace) -> int:
+    weight = decompose_weight(args.k)
     order = weight.ell + 5  # enough trailing terms to show genuine coefficients
-    basis = miller_basis_series(config.k, order)
-    if config.format == "json":
+    basis = miller_basis_series(args.k, order)
+    if args.format == "json":
         payload = {
-            "k": config.k,
+            "k": args.k,
             "order": order,
             "basis": [series.to_json_dict() for series in basis],
         }
-        _emit(_json_text(payload) + "\n", config)
-    elif config.format == "csv":
+        _emit(_json_text(payload) + "\n", args)
+    elif args.format == "csv":
         rows = []
         for i, series in enumerate(basis):
             for n in range(series.valuation, series.order):
-                rows.append((config.k, i, n, str(series.coeff(n))))
-        _emit(_csv_text(("k", "i", "n", "coeff"), rows), config)
+                rows.append((args.k, i, n, str(series.coeff(n))))
+        _emit(_csv_text(("k", "i", "n", "coeff"), rows), args)
     else:
-        lines = [f"f_{{{config.k},{i}}} = {series}" for i, series in enumerate(basis)]
-        _emit("\n".join(lines) + "\n", config)
+        lines = [f"f_{{{args.k},{i}}} = {series}" for i, series in enumerate(basis)]
+        _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 
 
@@ -364,93 +347,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, tol=True, fmt=True, out=True):
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance (default 1e-10)")
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv", "pretty"), default=None)
-        if out:
-            p.add_argument("--out", default=None, help="output path (default: stdout)")
+    def common(p, handler, fmt):
+        p.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance (default 1e-10)")
+        p.add_argument("--format", choices=("json", "csv", "pretty"), default=fmt)
+        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("faber", help="print the exact Faber polynomial of f_{k,m}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", required=True, help="integer or last / last-N alias")
-    common(p)
+    common(p, cmd_faber, "json")
 
     p = sub.add_parser("zeros", help="Faber roots, actual zeros, and predictions for f_{k,m}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", required=True)
-    common(p)
+    common(p, cmd_zeros, "csv")
 
     p = sub.add_parser("exp-zeros", help="inverse zeros of the truncated exponential of degree D")
     p.add_argument("--D", dest="degree", type=int, required=True)
-    common(p)
+    common(p, cmd_exp_zeros, "json")
 
     p = sub.add_parser("predict", help="predicted zero locations for one weight")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--D", dest="degree", type=int, required=True)
-    common(p)
+    common(p, cmd_predict, "csv")
 
     p = sub.add_parser("figure", help="predicted point cloud over a k grid (the figure data)")
     p.add_argument("--D", dest="degree", type=int, required=True)
     p.add_argument("--k-min", dest="k_min", type=int, required=True)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--k-step", dest="k_step", type=int, default=1000)
-    common(p)
+    common(p, cmd_figure, "csv")
 
     p = sub.add_parser("verify", help="boundedness of k-scaled deviations over a doubling grid")
     p.add_argument("--D", dest="degree", type=int, required=True)
     p.add_argument("--k-min", dest="k_min", type=int, required=True)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
-    common(p)
+    common(p, cmd_verify, "pretty")
 
     p = sub.add_parser("basis", help="exact q-expansions of the Miller basis of M_k")
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    common(p, cmd_basis, "json")
 
     return parser
 
 
-_DEFAULT_FORMATS = {
-    "faber": "json",
-    "zeros": "csv",
-    "exp-zeros": "json",
-    "predict": "csv",
-    "figure": "csv",
-    "verify": "pretty",
-    "basis": "json",
-}
-
-_HANDLERS = {
-    "faber": cmd_faber,
-    "zeros": cmd_zeros,
-    "exp-zeros": cmd_exp_zeros,
-    "predict": cmd_predict,
-    "figure": cmd_figure,
-    "verify": cmd_verify,
-    "basis": cmd_basis,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fmt = getattr(args, "format", None) or _DEFAULT_FORMATS[args.subcommand]
-    config = RunConfig(
-        subcommand=args.subcommand,
-        k=getattr(args, "k", None),
-        m=getattr(args, "m", None),
-        degree=getattr(args, "degree", None),
-        k_min=getattr(args, "k_min", None),
-        k_max=getattr(args, "k_max", None),
-        k_step=getattr(args, "k_step", 1000),
-        tol=getattr(args, "tol", 1e-10),
-        format=fmt,
-        out=getattr(args, "out", None),
-    )
     try:
-        if not config.tol > 0:
-            raise DomainError(f"tolerance must be positive, got {config.tol}")
-        return _HANDLERS[config.subcommand](config)
+        if not args.tol > 0:
+            raise DomainError(f"tolerance must be positive, got {args.tol}")
+        return args.handler(args)
     except DomainError as exc:
         print(f"faberzeros: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

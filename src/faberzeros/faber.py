@@ -26,7 +26,16 @@ __all__ = [
     "closed_form_poly",
     "closed_form_check",
     "renormalized_coeffs",
+    "horner",
 ]
+
+
+def horner(coeffs, x):
+    """p(x) for descending ``coeffs``; exact when the coefficients and x are."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,11 +59,8 @@ class FaberPoly:
         return len(self.coeffs) - 1
 
     def evaluate(self, t):
-        """Horner evaluation; exact for Fraction input, complex otherwise."""
-        acc = self.coeffs[0] if isinstance(t, Fraction) else complex(self.coeffs[0])
-        for c in self.coeffs[1:]:
-            acc = acc * t + (c if isinstance(t, Fraction) else complex(c))
-        return acc
+        """F(t) by Horner's rule; exact for exact t, complex for complex t."""
+        return horner(self.coeffs, t)
 
     def evaluate_series(self, s: TruncatedSeries) -> TruncatedSeries:
         """Horner evaluation at a series argument (used to verify f = Delta^ell E_k' F(j))."""

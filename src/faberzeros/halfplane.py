@@ -13,9 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, NumericalError
-from .faber import faber_polynomial
+from .faber import faber_polynomial, horner
 from .modforms import ModularFormSpec
 from .qseries import j_series
 from .roots import match_roots, scaled_faber_roots, truncated_exp_inverse_zeros
@@ -32,9 +33,7 @@ __all__ = [
     "invert_j",
     "reduce_to_fundamental_domain",
     "predicted_zero",
-    "nontrivial_zeros",
     "zero_report",
-    "verify_predictions",
 ]
 
 MIN_J_MODULUS = 2000.0  # below this, Newton inversion of the truncated series is refused
@@ -43,19 +42,11 @@ _BOUNDARY_EPS = 1e-12
 
 OUT_OF_REGIME = "outside inversion regime"
 
-# grow-only cache of integer j-coefficients c_{-1}, c_0, c_1, ... and float copies
-_j_coeff_ints: list[int] = []
-_j_coeff_floats: list[float] = []
-
-
-def _j_coefficients(count: int) -> list[float]:
+@lru_cache(maxsize=None)
+def _j_coefficients(count: int) -> tuple[float, ...]:
     """The first ``count`` coefficients of j (starting at q^-1), as floats."""
-    if count > len(_j_coeff_floats):
-        series = j_series(count - 1)
-        ints = [int(series.coeff(n)) for n in range(-1, count - 1)]
-        _j_coeff_ints[:] = ints
-        _j_coeff_floats[:] = [float(c) for c in ints]
-    return _j_coeff_floats[:count]
+    series = j_series(count - 1)
+    return tuple(float(series.coeff(n)) for n in range(-1, count - 1))
 
 
 @dataclass(frozen=True)
@@ -121,10 +112,7 @@ def evaluate_j(tau, terms: int = 32) -> JEvaluation:
     coeffs = _j_coefficients(terms)
     q = cmath.exp(2j * math.pi * tau)
     # Horner over the unit part, then add the pole term
-    acc = 0j
-    for c in reversed(coeffs[1:]):
-        acc = acc * q + c
-    value = acc + coeffs[0] / q
+    value = horner(coeffs[:0:-1], q) + coeffs[0] / q
     return JEvaluation(value=value, tail_bound=_tail_estimate(coeffs[-1], abs(q), terms - 2))
 
 
@@ -272,24 +260,16 @@ class ZeroReport:
     rows: tuple[ZeroReportRow, ...]
 
 
-def nontrivial_zeros(spec: ModularFormSpec, tol: float = 1e-10) -> list[HalfPlanePoint]:
-    """The zeros of f / E_{k'} in the fundamental domain: inverse images of
-    the Faber roots under j.
-
-    Raises DomainError if any root lies outside the inversion regime
-    (|t| < 2000): small weights are refused, not silently approximated.
-    Each returned point tau satisfies |F(j(tau))| <= tol * max |F coeff|.
-    """
-    report = zero_report(spec, tol=tol, strict=True)
-    return [row.tau for row in report.rows]
-
-
 def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) -> ZeroReport:
-    """Match Faber roots against the rescaled inverse zeros and invert them.
+    """The report pairing the actual zeros of f / E_{k'} with their predictions.
 
-    With strict=True any out-of-regime root raises; with strict=False such
-    rows carry status OUT_OF_REGIME and no actual tau (nothing is dropped).
-    Rows are indexed by the inverse zeros' sorted order.
+    Faber roots are matched against the rescaled inverse zeros and pulled
+    back through j; each actual tau satisfies |F(j(tau))| <= tol * max |F coeff|.
+    Row errors are |tau_r - tau_hat_r| (seam-aware) with k * err alongside,
+    plus the t-scale displacement |t_r - 2k z_{D,r}|.  With strict=True any
+    root outside the inversion regime (|t| < 2000) raises DomainError; with
+    strict=False such rows carry status OUT_OF_REGIME and no actual tau
+    (nothing is dropped).  Rows are indexed by the inverse zeros' sorted order.
     """
     f = faber_polynomial(spec)
     d = f.degree
@@ -325,7 +305,7 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
             )
             continue
         tau = invert_j(t, tol=tol)
-        value = _horner(f_float, evaluate_j(tau.tau, terms=32).value)
+        value = horner(f_float, evaluate_j(tau.tau, terms=32).value)
         if abs(value) > tol * f_scale:
             raise NumericalError(
                 f"|F(j(tau))| = {abs(value):.3e} exceeds {tol:.1e} * scale at root {t:.6g}"
@@ -338,20 +318,3 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
             )
         )
     return ZeroReport(k=k, m=spec.m, degree=d, rows=tuple(rows))
-
-
-def verify_predictions(spec: ModularFormSpec, tol: float = 1e-10) -> ZeroReport:
-    """The end-to-end report pairing actual zeros with predictions.
-
-    Strict: every Faber root must be in the inversion regime.  Row errors
-    are |tau_r - tau_hat_r| (seam-aware) with k * err alongside, plus the
-    t-scale displacement |t_r - 2k z_{D,r}|.
-    """
-    return zero_report(spec, tol=tol, strict=True)
-
-
-def _horner(coeffs, x):
-    acc = 0j
-    for c in coeffs:
-        acc = acc * x + c
-    return acc

@@ -29,8 +29,6 @@ from .errors import DomainError
 
 __all__ = [
     "TruncatedSeries",
-    "series_mul",
-    "series_inv",
     "sigma",
     "gamma_k",
     "eisenstein_series",
@@ -272,11 +270,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.valuation, self.order, self.coeffs))
 
-    def agrees_with(self, other: "TruncatedSeries") -> bool:
-        """Equality modulo q^min(orders); use when validities differ."""
-        n = min(self.order, other.order)
-        return self.truncate(n) == other.truncate(n)
-
     def to_json_dict(self) -> dict:
         return {
             "valuation": self.valuation,
@@ -307,16 +300,6 @@ class TruncatedSeries:
                 parts.append(f"{c}*q^{n}")
         parts.append(f"O(q^{self.order})")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Exact product, valid modulo the smaller provable order of the operands."""
-    return a * b
-
-
-def series_inv(a: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
-    """Multiplicative inverse of a nonzero series; see TruncatedSeries.inverse."""
-    return a.inverse(order)
 
 
 # -- number-theoretic generators -------------------------------------------

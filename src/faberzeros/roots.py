@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NumericalError
-from .faber import FaberPoly
+from .faber import FaberPoly, horner
 
 __all__ = [
     "ComplexPoly",
@@ -84,12 +84,6 @@ class ComplexPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate(self, z: complex) -> complex:
-        acc = 0j
-        for c in self.coeffs:
-            acc = acc * z + c
-        return acc
 
     def to_json_dict(self) -> dict:
         return {"coeffs_desc": [{"re": c.real, "im": c.imag} for c in self.coeffs]}
@@ -175,10 +169,10 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, max_iter: int = 500) -> RootS
         if moved <= _CONVERGED:
             break
 
-    residual = max(abs(p.evaluate(zi)) for zi in z)
+    residual = max(abs(horner(coeffs, zi)) for zi in z)
     if residual > tol * scale:
         z = _polish_extended(coeffs, z)
-        residual = max(abs(p.evaluate(zi)) for zi in z)
+        residual = max(abs(horner(coeffs, zi)) for zi in z)
     if residual > tol * scale:
         raise NumericalError(
             f"root finder residual {residual:.3e} exceeds {tol:.1e} * scale", best=tuple(z)
@@ -224,7 +218,7 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     t_roots = find_roots(truncated_exp_poly(d), tol=tol)
     inv = sorted((1.0 / t for t in t_roots.roots), key=_sort_key)
     g = ComplexPoly.from_coefficients([1.0 / math.factorial(r) for r in range(d + 1)])
-    residual = max(abs(g.evaluate(z)) for z in inv)
+    residual = max(abs(horner(g.coeffs, z)) for z in inv)
     if residual > tol:
         raise NumericalError(f"inverse-zero residual {residual:.3e} exceeds {tol:.1e}", best=tuple(inv))
     return RootSet(roots=tuple(inv), residual=residual)
@@ -336,10 +330,5 @@ def scaled_faber_roots(f: FaberPoly, k: int, tol: float = 1e-10) -> ScaledFaberR
     z_set = find_roots(g, tol=tol)
     t_roots = tuple(sorted((2 * k * z for z in z_set.roots), key=_sort_key))
     f_float = [float(c) for c in f.coeffs]
-    residual_t = 0.0
-    for t in t_roots:
-        acc = 0j
-        for c in f_float:
-            acc = acc * t + c
-        residual_t = max(residual_t, abs(acc))
+    residual_t = max(0.0, *(abs(horner(f_float, t)) for t in t_roots))
     return ScaledFaberRoots(k=k, t=RootSet(roots=t_roots, residual=residual_t), z=z_set)

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from faberzeros.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
@@ -240,3 +242,24 @@ def test_pure_functions_parallelize(capsys):
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(solve, tasks))
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        (("faber", "--k", "24", "--m", "0"), "json"),
+        (("zeros", "--k", "12000", "--m", "last-1"), "csv"),
+        (("exp-zeros", "--D", "3"), "json"),
+        (("predict", "--k", "240000", "--D", "2"), "csv"),
+        (("figure", "--D", "2", "--k-min", "1000", "--k-max", "3000"), "csv"),
+        (("verify", "--D", "1", "--k-min", "2400", "--k-max", "9600"), "pretty"),
+        (("basis", "--k", "24"), "json"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, tuple) else v,
+)
+def test_default_format_per_subcommand(capsys, argv, fmt):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert run(capsys, *argv, "--format", fmt) == (code, out, "")
+    others = [f for f in ("json", "csv", "pretty") if f != fmt]
+    assert all(run(capsys, *argv, "--format", f)[1] != out for f in others)

@@ -9,7 +9,7 @@ import pytest
 from faberzeros.cli import EXIT_INVALID, EXIT_OK, main
 from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial, principal_part
-from faberzeros.halfplane import invert_j, verify_predictions
+from faberzeros.halfplane import invert_j, zero_report
 from faberzeros.modforms import decompose_weight, miller_basis_series, miller_form_spec
 from faberzeros.qseries import TruncatedSeries
 
@@ -38,7 +38,7 @@ def test_faber_extraction_independent_of_weight():
 def test_zero_report_at_huge_weight():
     k = 999996
     spec = miller_form_spec(k, decompose_weight(k).ell - 2)
-    report = verify_predictions(spec)
+    report = zero_report(spec)
     assert len(report.rows) == 2
     for row in report.rows:
         assert row.abs_err < 1e-5
@@ -165,3 +165,8 @@ def test_faber_evaluate_both_scalar_types():
     assert poly.evaluate(Fraction(1)) == 1 - 1440 + 125280
     root = 720 + (720**2 - 125280) ** 0.5
     assert abs(poly.evaluate(complex(root))) < 1e-6 * 125280
+    # int input stays exact, far beyond the range of a float
+    big = 10**400
+    value = poly.evaluate(big)
+    assert type(value) is int
+    assert value == big**2 - 1440 * big + 125280

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import mpmath
 import pytest
@@ -11,13 +12,12 @@ from faberzeros.errors import DomainError
 from faberzeros.halfplane import (
     OUT_OF_REGIME,
     HalfPlanePoint,
+    _j_coefficients,
     evaluate_j,
     in_fundamental_domain,
     invert_j,
-    nontrivial_zeros,
     predicted_zero,
     reduce_to_fundamental_domain,
-    verify_predictions,
     zero_report,
 )
 from faberzeros.modforms import decompose_weight, miller_form_spec
@@ -196,23 +196,23 @@ def test_half_plane_point_requires_positive_imaginary():
         HalfPlanePoint(tau=1 - 0.5j, reduced=False)
 
 
-# --- nontrivial zeros and reports --------------------------------------------------------
+# --- zero reports --------------------------------------------------------------------
 
 
 def test_nontrivial_zeros_degree_zero_empty():
     spec = miller_form_spec(24, 2)
-    assert nontrivial_zeros(spec) == []
+    assert zero_report(spec).rows == ()
 
 
 def test_verify_predictions_degree_zero_empty_report():
-    report = verify_predictions(miller_form_spec(48, 4))
+    report = zero_report(miller_form_spec(48, 4))
     assert report.degree == 0 and report.rows == ()
 
 
 def test_nontrivial_zeros_penultimate_large_weight():
     k = 12000
     spec = miller_form_spec(k, decompose_weight(k).ell - 1)
-    zeros = nontrivial_zeros(spec)
+    zeros = [row.tau for row in zero_report(spec).rows]
     assert len(zeros) == 1
     z = zeros[0]
     assert z.reduced
@@ -225,7 +225,7 @@ def test_nontrivial_zeros_penultimate_large_weight():
 
 def test_nontrivial_zeros_rejects_small_weight():
     with pytest.raises(DomainError, match=OUT_OF_REGIME):
-        nontrivial_zeros(miller_form_spec(24, 0))
+        zero_report(miller_form_spec(24, 0))
 
 
 def test_zero_report_flags_instead_when_not_strict():
@@ -237,7 +237,7 @@ def test_zero_report_flags_instead_when_not_strict():
 
 def test_zero_report_conjugate_pair_degree_two():
     k = 6000
-    report = verify_predictions(miller_form_spec(k, decompose_weight(k).ell - 2))
+    report = zero_report(miller_form_spec(k, decompose_weight(k).ell - 2))
     assert report.degree == 2
     res = sorted(row.tau.tau.real for row in report.rows)
     assert abs(res[0] - (-0.375)) < 1e-3
@@ -248,7 +248,7 @@ def test_zero_report_conjugate_pair_degree_two():
 def test_verify_predictions_row_contract():
     k = 9996
     spec = miller_form_spec(k, decompose_weight(k).ell - 3)
-    report = verify_predictions(spec)
+    report = zero_report(spec)
     assert report.degree == 3 and len(report.rows) == 3
     limits = truncated_exp_inverse_zeros(3)
     for row, z in zip(report.rows, limits.roots):
@@ -261,7 +261,7 @@ def test_verify_predictions_error_decays_on_doubling():
     vals = []
     for k in (2400, 4800, 9600, 19200):
         spec = miller_form_spec(k, decompose_weight(k).ell - 1)
-        report = verify_predictions(spec)
+        report = zero_report(spec)
         vals.append(max(row.k_times_err for row in report.rows))
     assert all(b <= a for a, b in zip(vals, vals[1:]))  # non-increasing
     assert max(vals) <= 150
@@ -281,7 +281,7 @@ def test_line_clustering_and_height_law():
         for i in range(5):
             k = 12000 * 2**i
             spec = miller_form_spec(k, decompose_weight(k).ell - d)
-            report = verify_predictions(spec)
+            report = zero_report(spec)
             re_errs, im_errs = [], []
             for row, z, arg in zip(report.rows, limits.roots, args):
                 want_re = -arg / (2 * math.pi)
@@ -302,3 +302,43 @@ def test_j_real_on_imaginary_axis():
         y = 1.0 + i / 19.0
         val = evaluate_j(complex(0.0, y)).value
         assert abs(val.imag) <= 1e-8 * abs(val)
+
+
+# --- the j-coefficient cache --------------------------------------------------------
+
+
+@pytest.mark.parametrize("counts", [(160, 32, 16), (16, 32, 160)])
+def test_j_coefficients_prefixes_in_any_call_order(counts):
+    _j_coefficients.cache_clear()
+    got = {n: _j_coefficients(n) for n in counts}
+    for n, coeffs in got.items():
+        assert len(coeffs) == n and all(type(c) is float for c in coeffs)
+    shortest, middle, longest = (got[n] for n in sorted(counts))
+    assert longest[: len(middle)] == middle and middle[: len(shortest)] == shortest
+    assert longest[:3] == (1.0, 744.0, 196884.0)
+
+
+def test_j_evaluation_and_inversion_safe_in_parallel():
+    # mixed term counts fill the cache in an arbitrary order across threads;
+    # every caller must still see exactly the serial results
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = random.Random(7)
+    ts = [cmath.rect(10 ** rng.uniform(3.4, 9), rng.uniform(-math.pi, math.pi)) for _ in range(24)]
+    taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0)) for _ in range(24)]
+    terms = [16, 160, 24, 96, 32, 48, 120, 40] * 3
+
+    def task(i):
+        return invert_j(ts[i]).tau, evaluate_j(taus[i], terms=terms[i])
+
+    _j_coefficients.cache_clear()
+    serial = [task(i) for i in range(24)]
+    _j_coefficients.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(task, range(24), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
