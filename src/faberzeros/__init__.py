@@ -52,7 +52,6 @@ from .roots import (
     ComplexPoly,
     Pairing,
     RootSet,
-    ScaledFaberRoots,
     find_roots,
     match_roots,
     ostrowski_bound,
@@ -75,7 +74,6 @@ __all__ = [
     "Pairing",
     "PrincipalPart",
     "RootSet",
-    "ScaledFaberRoots",
     "TruncatedSeries",
     "WeightDecomposition",
     "ZeroReport",

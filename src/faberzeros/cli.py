@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from fractions import Fraction
@@ -86,8 +87,11 @@ def _csv_text(header, rows) -> str:
 
 def _emit(text: str, args: argparse.Namespace) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -395,8 +399,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not args.tol > 0:
-            raise DomainError(f"tolerance must be positive, got {args.tol}")
+        if not 0 < args.tol < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, got {args.tol}")
         return args.handler(args)
     except DomainError as exc:
         print(f"faberzeros: invalid input: {exc}", file=sys.stderr)

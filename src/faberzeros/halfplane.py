@@ -279,8 +279,8 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
 
     scaled = scaled_faber_roots(f, k, tol=tol)
     limits = truncated_exp_inverse_zeros(d, tol=tol)
-    pairing = match_roots(scaled.z, limits)
-    root_for_limit = {j: scaled.z.roots[i] for i, j in pairing.pairs}
+    pairing = match_roots(scaled, limits)
+    root_for_limit = {j: scaled.roots[i] for i, j in pairing.pairs}
 
     f_float = [float(c) for c in f.coeffs]
     f_scale = max(abs(c) for c in f_float)

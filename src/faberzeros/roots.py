@@ -21,7 +21,6 @@ __all__ = [
     "ComplexPoly",
     "RootSet",
     "Pairing",
-    "ScaledFaberRoots",
     "find_roots",
     "truncated_exp_poly",
     "truncated_exp_inverse_zeros",
@@ -32,6 +31,7 @@ __all__ = [
 
 _ABERTH_OFFSET = 0.4  # fixed rotation of the initial circle, breaks symmetry deterministically
 _CONVERGED = 1e-15
+_MAX_ITER = 500
 
 
 def _sort_key(z: complex):
@@ -120,13 +120,14 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-def find_roots(p: ComplexPoly, tol: float = 1e-10, max_iter: int = 500) -> RootSet:
-    """All roots of p by Aberth-Ehrlich iteration, deterministically.
+def find_roots(p: ComplexPoly, tol: float = 1e-10) -> RootSet:
+    """All roots of p by Aberth-Ehrlich iteration in double precision, deterministically.
 
     Initial guesses sit on a circle of radius (1 + sum |a_nu|)^(1/D) with a
-    fixed rotational offset.  The residual contract is
-    max |p(root)| <= tol * max |coeff|; if double precision misses it, one
-    extended-precision Newton polish is applied before giving up.
+    fixed rotational offset; the iteration stops when no root moves by
+    more than 1e-15 relative, or after _MAX_ITER sweeps.  The residual
+    contract is max |p(root)| <= tol * max |coeff|; a miss raises
+    NumericalError carrying the last iterates.
 
     The certificate is only achievable while (root bound)^D * eps stays
     under tol * max |coeff|; inputs outside that envelope raise rather
@@ -140,7 +141,7 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, max_iter: int = 500) -> RootS
     radius = (1.0 + sum(abs(c) for c in coeffs[1:])) ** (1.0 / n)
     z = [radius * cmath.exp(1j * (2 * math.pi * i / n + _ABERTH_OFFSET)) for i in range(n)]
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         moved = 0.0
         for i in range(n):
             pv, dpv = _horner_pair(coeffs, z[i])
@@ -171,30 +172,10 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, max_iter: int = 500) -> RootS
 
     residual = max(abs(horner(coeffs, zi)) for zi in z)
     if residual > tol * scale:
-        z = _polish_extended(coeffs, z)
-        residual = max(abs(horner(coeffs, zi)) for zi in z)
-    if residual > tol * scale:
         raise NumericalError(
             f"root finder residual {residual:.3e} exceeds {tol:.1e} * scale", best=tuple(z)
         )
     return RootSet(roots=tuple(sorted(z, key=_sort_key)), residual=residual)
-
-
-def _polish_extended(coeffs, roots):
-    """One Newton step per root at 50 decimal digits."""
-    import mpmath  # imported here, by its only user, to keep it out of every other run
-
-    with mpmath.workdps(50):
-        cs = [mpmath.mpc(c) for c in coeffs]
-        polished = []
-        for r in roots:
-            x = mpmath.mpc(r)
-            pv = mpmath.polyval(cs, x)
-            dpv = mpmath.polyval([c * (len(cs) - 1 - i) for i, c in enumerate(cs[:-1])], x)
-            if dpv != 0:
-                x = x - pv / dpv
-            polished.append(complex(x))
-    return polished
 
 
 def truncated_exp_poly(d: int) -> ComplexPoly:
@@ -306,29 +287,14 @@ def match_roots(a, b) -> Pairing:
     return Pairing(pairs=tuple(pairs), max_distance=threshold)
 
 
-@dataclass(frozen=True)
-class ScaledFaberRoots:
-    """Roots of a Faber polynomial in both scales: t and z = t/(2k)."""
+def scaled_faber_roots(f: FaberPoly, k: int, tol: float = 1e-10) -> RootSet:
+    """The roots z of the rescaled g_k(z) = F(2k z)/(2k)^D, one find_roots solve.
 
-    k: int
-    t: RootSet
-    z: RootSet
-
-
-def scaled_faber_roots(f: FaberPoly, k: int, tol: float = 1e-10) -> ScaledFaberRoots:
-    """Roots of F, computed on the rescaled g_k(z) = F(2k z)/(2k)^D and mapped back.
-
-    The z-scale residual comes from the finder; the t-scale residual is
-    |F| evaluated at the mapped roots with float-rounded coefficients.
+    The roots of F itself are t = 2k z (same order); the residual is the
+    finder's, measured on g_k.
     """
     if k <= 0:
         raise DomainError(f"weight must be positive, got {k}")
     if f.degree == 0:
-        empty = RootSet(roots=(), residual=0.0)
-        return ScaledFaberRoots(k=k, t=empty, z=empty)
-    g = ComplexPoly.rescaled_from_faber(f, k)
-    z_set = find_roots(g, tol=tol)
-    t_roots = tuple(sorted((2 * k * z for z in z_set.roots), key=_sort_key))
-    f_float = [float(c) for c in f.coeffs]
-    residual_t = max(0.0, *(abs(horner(f_float, t)) for t in t_roots))
-    return ScaledFaberRoots(k=k, t=RootSet(roots=t_roots, residual=residual_t), z=z_set)
+        return RootSet(roots=(), residual=0.0)
+    return find_roots(ComplexPoly.rescaled_from_faber(f, k), tol=tol)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from faberzeros.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY_FAILED, main
+from faberzeros.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY_FAILED, main
 
 
 def run(capsys, *argv):
@@ -71,6 +71,21 @@ def test_zeros_rejects_odd_weight(capsys):
     code, _, err = run(capsys, "zeros", "--k", "13", "--m", "0")
     assert code == EXIT_INVALID
     assert "even" in err
+
+
+def test_zeros_large_degree_fails_numerically_not_by_overflow(capsys):
+    # F's coefficients at D = 49, k = 2.4e7 lie beyond the float range; no
+    # step may convert them, and the failing degree-49 solve reports exit 3
+    code, out, err = run(capsys, "zeros", "--k", "24000000", "--m", "last-49")
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err.startswith("faberzeros: numerical failure:")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_must_be_positive_and_finite(capsys, tol):
+    code, out, err = run(capsys, "zeros", "--k", "240000", "--m", "last-2", "--tol", tol)
+    assert code == EXIT_INVALID and out == ""
+    assert "tolerance must be positive and finite" in err
 
 
 def test_m_alias_last(capsys):
@@ -195,6 +210,14 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "faber", "--k", "24", "--m", "0", "--out", str(target))
     assert code == EXIT_OK and out == ""
     assert json.loads(target.read_text())["coeffs_desc"] == ["1", "-1440", "125280"]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "faber", "--k", "24", "--m", "0", "--out", str(target))
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("faberzeros: invalid input: cannot write --out")
 
 
 def test_floats_have_17_significant_digits(capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from faberzeros.errors import DomainError, NumericalError
 from faberzeros.faber import faber_polynomial
+from faberzeros import roots
 from faberzeros.modforms import decompose_weight, miller_form_spec
 from faberzeros.roots import (
     ComplexPoly,
@@ -116,10 +117,11 @@ def test_find_roots_matches_numpy_companion_oracle():
         assert pairing.max_distance < 1e-7
 
 
-def test_find_roots_iteration_cap():
+def test_find_roots_iteration_cap(monkeypatch):
+    monkeypatch.setattr(roots, "_MAX_ITER", 1)
     poly = ComplexPoly.from_coefficients([1, -2, 1.00000001, 17, -3])
     with pytest.raises(NumericalError) as info:
-        find_roots(poly, tol=1e-10, max_iter=1)
+        find_roots(poly, tol=1e-10)
     assert info.value.best is not None and len(info.value.best) == 4
 
 
@@ -128,16 +130,6 @@ def test_monic_normalization():
     assert poly.coeffs == (1, 2, 3)
     with pytest.raises(DomainError):
         ComplexPoly.from_coefficients([5])
-
-
-def test_extended_precision_polish_improves_roots():
-    from faberzeros.roots import _polish_extended
-
-    coeffs = (1 + 0j, -6 + 0j, 11 + 0j, -6 + 0j)  # (t-1)(t-2)(t-3)
-    perturbed = [1 + 1e-6, 2 - 1e-6, 3 + 1e-6j]
-    polished = _polish_extended(coeffs, perturbed)
-    for got, true in zip(polished, (1, 2, 3)):
-        assert abs(got - true) < 1e-11
 
 
 # --- truncated exponential -------------------------------------------------------
@@ -281,17 +273,17 @@ def test_match_roots_cardinality_mismatch():
 
 def test_scaled_roots_small_weight():
     sfr = scaled_faber_roots(faber_polynomial(miller_form_spec(24, 1)), 24)
-    assert abs(sfr.t.roots[0] - 696) < 1e-9
-    assert abs(sfr.z.roots[0] - 14.5) < 1e-12
+    assert abs(2 * 24 * sfr.roots[0] - 696) < 1e-9
+    assert abs(sfr.roots[0] - 14.5) < 1e-12
 
 
 def test_scaled_roots_large_weight_closed_form():
     k = 12000
     spec = miller_form_spec(k, decompose_weight(k).ell - 1)
     sfr = scaled_faber_roots(faber_polynomial(spec), k)
-    assert abs(sfr.t.roots[0] - (-(2 * k - 744))) < 1e-6
-    assert abs(sfr.z.roots[0] - (-1 + 744 / (2 * k))) < 1e-12
-    assert abs(abs(sfr.z.roots[0] - (-1)) - 0.031) < 1e-12
+    assert abs(2 * k * sfr.roots[0] - (-(2 * k - 744))) < 1e-6
+    assert abs(sfr.roots[0] - (-1 + 744 / (2 * k))) < 1e-12
+    assert abs(abs(sfr.roots[0] - (-1)) - 0.031) < 1e-12
 
 
 def test_scaled_roots_gap_not_growing():
@@ -302,8 +294,8 @@ def test_scaled_roots_gap_not_growing():
         sfr = scaled_faber_roots(faber_polynomial(spec), k)
         limits = truncated_exp_inverse_zeros(2)
         gap = max(
-            abs(t - 2 * k * z)
-            for t, z in zip(sfr.t.roots, limits.roots)
+            abs(2 * k * z_root - 2 * k * z)
+            for z_root, z in zip(sfr.roots, limits.roots)
         )
         vals.append(gap)
         assert gap <= 2000
@@ -312,7 +304,7 @@ def test_scaled_roots_gap_not_growing():
 
 def test_scaled_roots_degree_zero():
     sfr = scaled_faber_roots(faber_polynomial(miller_form_spec(24, 2)), 24)
-    assert sfr.t.roots == () and sfr.z.roots == ()
+    assert sfr.roots == ()
 
 
 def test_rootset_json_shape():
