@@ -10,8 +10,6 @@ safe to evaluate in parallel.
 from .errors import DomainError, NumericalError
 from .faber import (
     FaberPoly,
-    JPowerTable,
-    PrincipalPart,
     closed_form_check,
     closed_form_poly,
     faber_polynomial,
@@ -44,6 +42,7 @@ from .qseries import (
     delta_series,
     eisenstein_series,
     eta_unit,
+    euler_phi,
     gamma_k,
     j_series,
     sigma,
@@ -68,11 +67,9 @@ __all__ = [
     "FaberPoly",
     "HalfPlanePoint",
     "JEvaluation",
-    "JPowerTable",
     "ModularFormSpec",
     "NumericalError",
     "Pairing",
-    "PrincipalPart",
     "RootSet",
     "TruncatedSeries",
     "WeightDecomposition",
@@ -85,6 +82,7 @@ __all__ = [
     "delta_series",
     "eisenstein_series",
     "eta_unit",
+    "euler_phi",
     "evaluate_j",
     "faber_polynomial",
     "find_roots",

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 verification failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from fractions import Fraction
@@ -21,7 +20,7 @@ from .errors import DomainError, NumericalError
 from .faber import faber_polynomial, renormalized_coeffs
 from .halfplane import OUT_OF_REGIME, predicted_zero, zero_report
 from .modforms import decompose_weight, miller_basis_series, miller_form_spec
-from .roots import truncated_exp_inverse_zeros
+from .roots import _check_tolerance, truncated_exp_inverse_zeros
 
 __all__ = ["main"]
 
@@ -399,8 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not 0 < args.tol < math.inf:
-            raise DomainError(f"tolerance must be positive and finite, got {args.tol}")
+        _check_tolerance(args.tol)
         return args.handler(args)
     except DomainError as exc:
         print(f"faberzeros: invalid input: {exc}", file=sys.stderr)

@@ -14,12 +14,10 @@ from math import factorial
 
 from .errors import DomainError
 from .modforms import ModularFormSpec, decompose_weight, miller_form_spec
-from .qseries import TruncatedSeries, _exact, eisenstein_series, eta_unit, gamma_k, j_series
+from .qseries import TruncatedSeries, _convolve, _exact, eisenstein_series, euler_phi, gamma_k, j_series
 
 __all__ = [
     "FaberPoly",
-    "PrincipalPart",
-    "JPowerTable",
     "j_power_table",
     "principal_part",
     "faber_polynomial",
@@ -100,71 +98,42 @@ class FaberPoly:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-@dataclass(frozen=True)
-class PrincipalPart:
-    """Coefficients A(0..D) of the principal part q^{-D}(A(0) + A(1)q + ... + A(D)q^D)
-    of f / (Delta^ell E_{k'}); A(0) = y(0)."""
+def j_power_table(d: int) -> tuple[tuple[int, ...], ...]:
+    """The rows c[r] = (c[r][0], ..., c[r][r]) for 0 <= r <= D, where
+    c[r][s] is the coefficient of q^{-s} in j^r.
 
-    k: int
-    m: int
-    A: tuple[int | Fraction, ...]
-
-
-@dataclass(frozen=True)
-class JPowerTable:
-    """c[r][s] = coefficient of q^{-s} in j^r, for 0 <= s <= r <= D.
-
-    All entries are non-negative integers; c[r][r] = 1 and
-    c[r][r-1] = 744*r.
+    With the unit u = q*j, j^r = q^{-r} u^r, so c[r][s] = [q^{r-s}] u^r:
+    row r is the first r+1 coefficients of u^r, reversed.  Each power is
+    one integer convolution with u, kept to D+1 terms.  Every entry is a
+    non-negative integer, with c[r][r] = 1 and c[r][r-1] = 744*r.
     """
-
-    c: tuple[tuple[int, ...], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1
-
-    def __post_init__(self):
-        for r, row in enumerate(self.c):
-            if len(row) != r + 1:
-                raise DomainError(f"row {r} must have {r + 1} entries")
-            if row[r] != 1 or (r >= 1 and row[r - 1] != 744 * r) or any(x < 0 for x in row):
-                raise DomainError("j-power table violates its invariants")
-
-
-def j_power_table(d: int) -> JPowerTable:
-    """Principal-part coefficients of j^0, ..., j^D by exact series multiplication."""
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
-    js = j_series(d + 1)
+    u = j_series(d).coeffs
     rows = []
-    power = TruncatedSeries.one(d + 2)
+    power = [1]
     for r in range(d + 1):
-        row = []
-        for s in range(r + 1):
-            c = power.coeff(-s)
-            if c.denominator != 1:
-                raise DomainError(f"non-integer entry in j^{r} at q^{-s}")
-            row.append(int(c))
-        rows.append(tuple(row))
+        rows.append(tuple(power[r::-1]))
         if r < d:
-            power = power * js
-    return JPowerTable(c=tuple(rows))
+            power = _convolve(power, u, d + 1)
+    return tuple(rows)
 
 
-def principal_part(spec: ModularFormSpec) -> PrincipalPart:
-    """The exact principal part of f / (Delta^ell E_{k'}).
+def principal_part(spec: ModularFormSpec) -> tuple[int | Fraction, ...]:
+    """The coefficients A(0..D) of the exact principal part
+    q^{-D}(A(0) + A(1)q + ... + A(D)q^D) of f / (Delta^ell E_{k'}); A(0) = y(0).
 
     Writing f = q^m * y(q) with y the unit window, the quotient equals
-    q^{-D} * y(q) / (U^ell E_{k'}) mod q, U = prod (1-q^n)^24, so only
-    the D+1 unit coefficients matter.  U^{-ell} and 1/E_{k'} come from
-    Miller's power recurrence in O(D^2) integer steps whatever ell is, so
-    the cost is independent of k.
+    q^{-D} * y(q) / (phi^{24 ell} E_{k'}) mod q, phi = prod (1-q^n), so
+    only the D+1 unit coefficients matter.  phi^{-24 ell} and 1/E_{k'} are
+    Miller powers in O(D^2) integer steps whatever ell is, so the cost is
+    independent of k.
     """
     order = spec.degree + 1
     y = TruncatedSeries(0, spec.unit_coeffs, order)
-    a = y * eta_unit(order) ** -spec.ell * eisenstein_series(spec.k_prime, order).inverse(order)
-    return PrincipalPart(k=spec.k, m=spec.m, A=tuple(a.coeff(i) for i in range(order)))
+    e_inverse = eisenstein_series(spec.k_prime, order).inverse(order)
+    a = y * euler_phi(order) ** (-24 * spec.ell) * e_inverse
+    return tuple(a.coeff(i) for i in range(order))
 
 
 def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:
@@ -176,8 +145,8 @@ def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:
     principal part is integral, as it is for every Miller window.
     """
     d = spec.degree
-    a = principal_part(spec).A
-    table = j_power_table(d).c
+    a = principal_part(spec)
+    table = j_power_table(d)
     x = [0] * (d + 1)
     for s in range(d, -1, -1):
         x[d - s] = a[d - s] - sum(table[r][s] * x[d - r] for r in range(s + 1, d + 1))

@@ -19,7 +19,7 @@ from .errors import DomainError, NumericalError
 from .faber import faber_polynomial, horner
 from .modforms import ModularFormSpec
 from .qseries import j_series
-from .roots import match_roots, scaled_faber_roots, truncated_exp_inverse_zeros
+from .roots import _check_tolerance, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros
 
 __all__ = [
     "MIN_J_MODULUS",
@@ -45,8 +45,7 @@ OUT_OF_REGIME = "outside inversion regime"
 @lru_cache(maxsize=None)
 def _j_coefficients(count: int) -> tuple[float, ...]:
     """The first ``count`` coefficients of j (starting at q^-1), as floats."""
-    series = j_series(count - 1)
-    return tuple(float(series.coeff(n)) for n in range(-1, count - 1))
+    return tuple(float(c) for c in j_series(count - 1).coeffs)
 
 
 @dataclass(frozen=True)
@@ -136,6 +135,7 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     against tol * |t|; the iteration starts from q = 1/t.  The real part
     of the result is normalized into [-1/2, 1/2).
     """
+    _check_tolerance(tol)
     t = complex(t)
     if abs(t) < MIN_J_MODULUS:
         raise DomainError(f"{OUT_OF_REGIME}: |t| = {abs(t):.6g} < {MIN_J_MODULUS:.0f}")

@@ -15,9 +15,10 @@ entirely on Python ints:
   which costs O(n^2) whatever alpha is; alpha = -1 is the inverse.
 
 The generators cover the Eisenstein series E_k for the weights that occur
-as k' in the decomposition k = 12*ell + k' (plus k = 12), the discriminant
-Delta = q * U with U = prod (1-q^n)^24 from the sigma_1 log-derivative
-recurrence, and Klein's j = E_4^3 / Delta.
+as k' in the decomposition k = 12*ell + k' (plus k = 12), Euler's function
+phi = prod (1-q^n) from the pentagonal number theorem, the discriminant
+Delta = q * U with U = phi^24 one Miller power of phi, and Klein's
+j = E_4^3 / Delta = q^{-1} E_4^3 / U.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "sigma",
     "gamma_k",
     "eisenstein_series",
+    "euler_phi",
     "eta_unit",
     "delta_series",
     "j_series",
@@ -356,20 +358,25 @@ def eisenstein_series(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(0, coeffs, order)
 
 
-def eta_unit(order: int) -> TruncatedSeries:
-    """The unit part U = prod_{n>=1} (1-q^n)^24 of Delta, modulo q^order.
+def euler_phi(order: int) -> TruncatedSeries:
+    """Euler's function phi = prod_{n>=1} (1-q^n), modulo q^order.
 
-    From the logarithmic derivative q U'/U = -24 sum_{n>=1} sigma_1(n) q^n:
-    n u_n = -24 sum_{i=1..n} sigma_1(i) u_{n-i}, u_0 = 1, exact on integers
-    in O(order^2).
+    By the pentagonal number theorem phi = sum_k (-1)^k q^{k(3k-1)/2} over
+    all integers k: a sparse series with entries 0 and +-1.
     """
     if order < 1:
-        raise DomainError("eta_unit requires order >= 1")
-    s1 = [0] + [sigma(i, 1) for i in range(1, order)]
-    u = [1]
-    for n in range(1, order):
-        u.append(-24 * sum(s1[i] * u[n - i] for i in range(1, n + 1)) // n)
-    return TruncatedSeries(0, u, order)
+        raise DomainError("euler_phi requires order >= 1")
+    terms = {0: 1}
+    k = 1
+    while k * (3 * k - 1) // 2 < order:
+        terms[k * (3 * k - 1) // 2] = terms[k * (3 * k + 1) // 2] = (-1) ** k
+        k += 1
+    return TruncatedSeries.from_terms(terms, order)
+
+
+def eta_unit(order: int) -> TruncatedSeries:
+    """The unit part U = phi^24 = prod_{n>=1} (1-q^n)^24 of Delta, modulo q^order."""
+    return euler_phi(order) ** 24
 
 
 def delta_series(order: int) -> TruncatedSeries:
@@ -380,9 +387,8 @@ def delta_series(order: int) -> TruncatedSeries:
 
 
 def j_series(order: int) -> TruncatedSeries:
-    """Klein's j = E_4^3 / Delta, modulo q^order (valuation -1, integer coefficients)."""
+    """Klein's j = q^{-1} E_4^3 / U, modulo q^order (valuation -1, integer coefficients)."""
     if order < 0:
         raise DomainError("j_series requires order >= 0")
-    n = order + 2
-    e4_cubed = eisenstein_series(4, n) ** 3
-    return e4_cubed * delta_series(n).inverse()
+    n = order + 1
+    return (eisenstein_series(4, n) ** 3 * eta_unit(n) ** -1).shift(-1)

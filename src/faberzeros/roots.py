@@ -34,6 +34,12 @@ _CONVERGED = 1e-15
 _MAX_ITER = 500
 
 
+def _check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that would make a residual check vacuous or unsatisfiable."""
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
 def _sort_key(z: complex):
     """Sort by argument in [-pi, pi), ties by modulus."""
     ph = cmath.phase(z)
@@ -135,6 +141,7 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10) -> RootSet:
     scaled coefficients should be rescaled first, as scaled_faber_roots
     does with z = t/(2k).
     """
+    _check_tolerance(tol)
     n = p.degree
     coeffs = p.coeffs
     scale = max(abs(c) for c in coeffs)

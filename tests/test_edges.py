@@ -1,17 +1,22 @@
 """Cross-module edge cases: degenerate degrees, huge weights, CLI schemas."""
 
+import importlib
 import json
+import math
+import pkgutil
 import time
 from fractions import Fraction
 
 import pytest
 
+import faberzeros
 from faberzeros.cli import EXIT_INVALID, EXIT_OK, main
 from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial, principal_part
 from faberzeros.halfplane import invert_j, zero_report
 from faberzeros.modforms import decompose_weight, miller_basis_series, miller_form_spec
 from faberzeros.qseries import TruncatedSeries
+from faberzeros.roots import find_roots, truncated_exp_inverse_zeros, truncated_exp_poly
 
 
 def run(capsys, *argv):
@@ -49,8 +54,7 @@ def test_zero_report_at_huge_weight():
 
 
 def test_principal_part_degree_zero():
-    pp = principal_part(miller_form_spec(14, 0))
-    assert pp.A == (Fraction(1),)
+    assert principal_part(miller_form_spec(14, 0)) == (Fraction(1),)
 
 
 def test_basis_weight_zero_is_constant_one():
@@ -170,3 +174,36 @@ def test_faber_evaluate_both_scalar_types():
     value = poly.evaluate(big)
     assert type(value) is int
     assert value == big**2 - 1440 * big + 125280
+
+
+# --- library tolerance contract ----------------------------------------------------
+
+TOLERANCE_ENTRY_POINTS = {
+    "find_roots": lambda tol: find_roots(truncated_exp_poly(5), tol=tol),
+    "invert_j": lambda tol: invert_j(1e6, tol=tol),
+    "truncated_exp_inverse_zeros": lambda tol: truncated_exp_inverse_zeros(3, tol=tol),
+    "zero_report": lambda tol: zero_report(miller_form_spec(240000, 20000 - 2), tol=tol),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+def test_library_rejects_non_positive_or_non_finite_tolerance(entry, tol):
+    # an infinite or nan tolerance would accept any root set; zero or a
+    # negative one can never be met
+    with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+        TOLERANCE_ENTRY_POINTS[entry](tol)
+
+
+# --- exports ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["faberzeros"]
+    + [f"faberzeros.{m.name}" for m in pkgutil.iter_modules(faberzeros.__path__) if m.name != "__main__"],
+)
+def test_every_exported_name_is_bound(module):
+    mod = importlib.import_module(module)
+    dangling = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not dangling, f"{module}.__all__ names unbound attributes: {dangling}"

@@ -14,6 +14,7 @@ from faberzeros.qseries import (
     delta_series,
     eisenstein_series,
     eta_unit,
+    euler_phi,
     gamma_k,
     j_series,
     sigma,
@@ -215,20 +216,24 @@ def test_negative_power_of_non_unit_raises():
         S.zero(4) ** 0
 
 
-def eta24_factorwise(order):
-    """prod_{n<order} (1 - q^n)^24 as integers, one factor (1 - q^n) at a time."""
+def eta_factorwise(order, power):
+    """prod_{n<order} (1 - q^n)^power as integers, one factor (1 - q^n) at a time."""
     out = [1] + [0] * (order - 1)
     for n in range(1, order):
-        for _ in range(24):
+        for _ in range(power):
             for i in range(order - 1, n - 1, -1):
                 out[i] -= out[i - n]
     return out
 
 
 def test_eta_unit_matches_factorwise_product():
-    oracle = eta24_factorwise(60)
+    oracle = eta_factorwise(60, 24)
+    phi_oracle = eta_factorwise(60, 1)
     for n in range(1, 61):
         assert eta_unit(n) == S(0, oracle[:n], n), n
+        assert euler_phi(n) == S(0, phi_oracle[:n], n), n
+    with pytest.raises(DomainError):
+        euler_phi(0)
 
 
 # --- sigma / gamma -------------------------------------------------------------
