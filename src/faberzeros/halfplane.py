@@ -48,7 +48,7 @@ def _j_coefficients(count: int) -> tuple[float, ...]:
     return tuple(float(c) for c in j_series(count - 1).coeffs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfPlanePoint:
     """A point tau with Im(tau) > 0; ``reduced`` records membership in the
     fundamental domain (Re in [-1/2, 1/2), |tau| >= 1, and Re <= 0 on the
@@ -75,7 +75,7 @@ def in_fundamental_domain(tau: complex, eps: float = _BOUNDARY_EPS) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JEvaluation:
     """A truncated evaluation of j together with a tail-size estimate."""
 
@@ -232,7 +232,7 @@ def _seam_distance(a: complex, b: complex) -> float:
     return min(abs(a + s - b) for s in (-1.0, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroReportRow:
     """One matched triple: Faber root t, actual zero tau, predicted tau_hat.
 
@@ -252,7 +252,7 @@ class ZeroReportRow:
     status: str = "ok"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroReport:
     k: int
     m: int

@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, NumericalError
 from .faber import FaberPoly, horner
@@ -65,7 +66,10 @@ class ComplexPoly:
     @classmethod
     def from_coefficients(cls, coeffs) -> "ComplexPoly":
         """Normalize an arbitrary coefficient sequence (descending) to monic form."""
-        cs = [complex(c) for c in coeffs]
+        try:
+            cs = [complex(c) for c in coeffs]
+        except OverflowError as exc:
+            raise DomainError(f"coefficients must be finite: {exc}") from None
         while cs and cs[0] == 0:
             cs.pop(0)
         if len(cs) < 2:
@@ -178,7 +182,7 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10) -> RootSet:
             break
 
     residual = max(abs(horner(coeffs, zi)) for zi in z)
-    if residual > tol * scale:
+    if not residual <= tol * scale:  # also refuses a NaN residual
         raise NumericalError(
             f"root finder residual {residual:.3e} exceeds {tol:.1e} * scale", best=tuple(z)
         )
@@ -195,6 +199,7 @@ def truncated_exp_poly(d: int) -> ComplexPoly:
     )
 
 
+@lru_cache(maxsize=None)
 def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     """The inverse zeros z_{D,r}: reciprocals of the roots of 1 + t + ... + t^D/D!.
 
@@ -202,12 +207,16 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     sorted by argument in [-pi, pi), ties by modulus.  The residual is
     measured on the monic polynomial z^D + z^{D-1} + ... + 1/D! whose
     roots they are.
+
+    The result depends on (d, tol) alone, so it is memoized per (d, tol)
+    and the one immutable RootSet is shared by every caller; a call that
+    raises is not cached and raises again when repeated.
     """
     t_roots = find_roots(truncated_exp_poly(d), tol=tol)
     inv = sorted((1.0 / t for t in t_roots.roots), key=_sort_key)
     g = ComplexPoly.from_coefficients([1.0 / math.factorial(r) for r in range(d + 1)])
     residual = max(abs(horner(g.coeffs, z)) for z in inv)
-    if residual > tol:
+    if not residual <= tol:  # also refuses a NaN residual
         raise NumericalError(f"inverse-zero residual {residual:.3e} exceeds {tol:.1e}", best=tuple(inv))
     return RootSet(roots=tuple(inv), residual=residual)
 

@@ -81,6 +81,49 @@ def test_zeros_large_degree_fails_numerically_not_by_overflow(capsys):
     assert err.startswith("faberzeros: numerical failure:")
 
 
+@pytest.mark.parametrize("degree", ["104", "170"])
+def test_exp_zeros_nan_residual_fails_numerically(capsys, degree):
+    # the Aberth iterates turn NaN here; the solve must not report them
+    code, out, err = run(capsys, "exp-zeros", "--D", degree)
+    assert code == EXIT_NUMERICAL and out == ""
+    assert err.startswith("faberzeros: numerical failure:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exp-zeros", "--D", "171"),
+        ("figure", "--D", "200", "--k-min", "2400", "--k-max", "2400"),
+    ],
+    ids=["exp-zeros", "figure"],
+)
+def test_degree_beyond_double_range_is_invalid_input(capsys, argv):
+    # D! no longer fits in a double from D = 171 on
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("faberzeros: invalid input:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exp-zeros", "--D", "12", "--format", "pretty"),
+        ("exp-zeros", "--D", "21", "--format", "csv"),
+        ("predict", "--k", "240000", "--D", "9"),
+        ("figure", "--D", "6", "--k-min", "2000", "--k-max", "2400", "--format", "json"),
+    ],
+    ids=lambda v: v[0],
+)
+def test_stdout_same_with_cold_and_warm_limit_cache(capsys, argv):
+    from faberzeros.roots import truncated_exp_inverse_zeros
+
+    truncated_exp_inverse_zeros.cache_clear()
+    cold = run(capsys, *argv)
+    warm = run(capsys, *argv)
+    assert truncated_exp_inverse_zeros.cache_info().hits >= 1
+    assert cold[0] == EXIT_OK and cold == warm
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tolerance_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "zeros", "--k", "240000", "--m", "last-2", "--tol", tol)

@@ -1,6 +1,7 @@
 """j-evaluation and inversion, reduction, predictions, and zero reports."""
 
 import cmath
+import dataclasses
 import math
 import random
 import sys
@@ -12,6 +13,9 @@ from faberzeros.errors import DomainError
 from faberzeros.halfplane import (
     OUT_OF_REGIME,
     HalfPlanePoint,
+    JEvaluation,
+    ZeroReport,
+    ZeroReportRow,
     _j_coefficients,
     evaluate_j,
     in_fundamental_domain,
@@ -342,3 +346,43 @@ def test_j_evaluation_and_inversion_safe_in_parallel():
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+def test_zero_report_safe_in_parallel_with_shared_limit_cache():
+    # mixed degrees fill the truncated-exponential cache in an arbitrary
+    # order across threads; every report must equal the serial one
+    from concurrent.futures import ThreadPoolExecutor
+
+    ks = [240000, 2400000]
+    specs = [
+        miller_form_spec(k, decompose_weight(k).ell - d) for d in (1, 5, 9, 3, 12, 7) for k in ks
+    ]
+
+    def task(spec):
+        return zero_report(spec, strict=False)
+
+    truncated_exp_inverse_zeros.cache_clear()
+    serial = [task(spec) for spec in specs]
+    truncated_exp_inverse_zeros.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parallel = list(pool.map(task, specs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+
+
+def test_report_dataclasses_are_slotted_and_frozen():
+    point = HalfPlanePoint(tau=0.1 + 1.2j, reduced=True)
+    row = ZeroReportRow(
+        r=1, t=-23256 + 0j, tau=point, tau_hat=point, abs_err=0.0, k_times_err=0.0, t_gap=0.0
+    )
+    evaluation = JEvaluation(value=744 + 0j, tail_bound=0.0)
+    report = ZeroReport(k=24, m=0, degree=1, rows=(row,))
+    for obj in (point, evaluation, row, report):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+        field = dataclasses.fields(obj)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))

@@ -197,6 +197,62 @@ def test_truncated_exp_poly_requires_positive_degree():
         truncated_exp_poly(0)
 
 
+def test_truncated_exp_poly_beyond_double_range_is_domain_error():
+    # 171! no longer fits in a double; the conversion must not escape as OverflowError
+    with pytest.raises(DomainError, match="coefficients must be finite"):
+        truncated_exp_poly(171)
+    with pytest.raises(DomainError, match="coefficients must be finite"):
+        truncated_exp_inverse_zeros(171)
+
+
+def test_nan_residual_is_rejected():
+    # from D = 104 on, p(z) overflows to inf during the Aberth sweeps and the
+    # iterates turn NaN; a NaN residual must fail the check, not pass it
+    for d in (120, 170):
+        with pytest.raises(NumericalError, match="residual nan"):
+            find_roots(truncated_exp_poly(d))
+    with pytest.raises(NumericalError):
+        truncated_exp_inverse_zeros(120)
+
+
+# --- memoized inverse zeros -----------------------------------------------------------
+
+
+def test_exp_inverse_zeros_cached_equals_fresh_solve_bitwise():
+    def bits(rs):
+        return [(z.real.hex(), z.imag.hex()) for z in rs.roots], rs.residual.hex()
+
+    truncated_exp_inverse_zeros.cache_clear()
+    for d in range(1, 22):
+        cached = truncated_exp_inverse_zeros(d)
+        assert truncated_exp_inverse_zeros(d) is cached
+        assert bits(cached) == bits(truncated_exp_inverse_zeros.__wrapped__(d)), d
+
+
+def test_exp_inverse_zeros_failures_are_not_cached():
+    truncated_exp_inverse_zeros(3)
+    size = truncated_exp_inverse_zeros.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NumericalError):
+            truncated_exp_inverse_zeros(22)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+                truncated_exp_inverse_zeros(3, tol=tol)
+        with pytest.raises(DomainError):
+            truncated_exp_inverse_zeros(0)
+    assert truncated_exp_inverse_zeros.cache_info().currsize == size
+
+
+def test_exp_inverse_zeros_cached_per_tolerance():
+    truncated_exp_inverse_zeros.cache_clear()
+    loose = truncated_exp_inverse_zeros(9, tol=1e-6)
+    tight = truncated_exp_inverse_zeros(9, tol=1e-12)
+    assert loose is not tight
+    assert truncated_exp_inverse_zeros.cache_info().currsize == 2
+    assert truncated_exp_inverse_zeros(9, tol=1e-6) is loose
+    assert truncated_exp_inverse_zeros(9, tol=1e-12) is tight
+
+
 # --- ostrowski bound ----------------------------------------------------------------
 
 
