@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "NumericalError"]
+
 
 class DomainError(ValueError):
     """An input is outside the mathematical domain of an operation."""

@@ -62,15 +62,15 @@ class HalfPlanePoint:
             raise DomainError(f"point must lie in the upper half-plane, got {self.tau}")
 
 
-def in_fundamental_domain(tau: complex, eps: float = _BOUNDARY_EPS) -> bool:
+def in_fundamental_domain(tau: complex) -> bool:
     """The three membership predicates, with a small tolerance on the circle."""
     x, y = tau.real, tau.imag
     if y <= 0 or not (-0.5 <= x < 0.5):
         return False
     r2 = x * x + y * y
-    if r2 < 1.0 - eps:
+    if r2 < 1.0 - _BOUNDARY_EPS:
         return False
-    if abs(r2 - 1.0) <= eps and x > eps:
+    if abs(r2 - 1.0) <= _BOUNDARY_EPS and x > _BOUNDARY_EPS:
         return False
     return True
 
@@ -271,6 +271,7 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     strict=False such rows carry status OUT_OF_REGIME and no actual tau
     (nothing is dropped).  Rows are indexed by the inverse zeros' sorted order.
     """
+    _check_tolerance(tol)
     f = faber_polynomial(spec)
     d = f.degree
     k = spec.k

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .errors import DomainError, NumericalError
 from .faber import FaberPoly, horner
@@ -94,9 +96,6 @@ class ComplexPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs_desc": [{"re": c.real, "im": c.imag} for c in self.coeffs]}
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,9 @@ def truncated_exp_poly(d: int) -> ComplexPoly:
     """The monic multiple D! * (1 + t + ... + t^D/D!) of the truncated exponential."""
     if d < 1:
         raise DomainError(f"degree must be >= 1, got {d}")
-    fact_d = math.factorial(d)
-    return ComplexPoly.from_coefficients(
-        [fact_d // math.factorial(d - nu) for nu in range(d + 1)]
-    )
+    # the running products D!/(D - nu)! = D (D-1) ... (D-nu+1), lazily: the
+    # first one beyond the double range is refused before the rest are built
+    return ComplexPoly.from_coefficients(accumulate(range(d, 0, -1), mul, initial=1))
 
 
 @lru_cache(maxsize=None)
@@ -309,6 +307,7 @@ def scaled_faber_roots(f: FaberPoly, k: int, tol: float = 1e-10) -> RootSet:
     The roots of F itself are t = 2k z (same order); the residual is the
     finder's, measured on g_k.
     """
+    _check_tolerance(tol)
     if k <= 0:
         raise DomainError(f"weight must be positive, got {k}")
     if f.degree == 0:

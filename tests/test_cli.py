@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -102,6 +103,14 @@ def test_degree_beyond_double_range_is_invalid_input(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INVALID and out == ""
     assert err.startswith("faberzeros: invalid input:") and "Traceback" not in err
+
+
+def test_huge_degree_is_refused_at_once(capsys):
+    # the first D!/(D - nu)! beyond a double is refused before the rest are built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "exp-zeros", "--D", "20000")
+    assert code == EXIT_INVALID and out == ""
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,82 @@
+"""Byte-identity of CLI stdout: argv -> (exit code, sha256 of stdout).
+
+The table was recorded once from the CLI and pins every subcommand in all
+three formats, plus rows outside the inversion regime, the D = 21 ceiling,
+a numerical failure (exit 3), a failed verification (exit 1) and a degree
+beyond the double range (exit 2).  A refactor that keeps behaviour keeps
+every digest.
+
+Float digests are tied to the CPython and libm they were recorded with:
+the 17-digit float text can differ in the last place on another platform.
+A change that moves floats on purpose (ROADMAP item 2b, a different root
+polish) re-records the table and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from faberzeros.cli import main
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN = [
+    ("faber --k 2400 --m last-8 --format json", 0,
+     "bfd60f2a0cfc4d464da075c58fff0459cc012eee4326082aa0c3a3b2750aa8b1"),
+    ("faber --k 2400 --m last-8 --format csv", 0,
+     "dece10a74e8f523dbf454c8f3ae746e8f78ed5d9c5d4130aed99385a1d49797c"),
+    ("faber --k 2400 --m last-8 --format pretty", 0,
+     "1fa2e6dcb0ddc96b0cb19550b8a81021f89852455eddfc0ceae4b5d0939c586e"),
+    ("zeros --k 240000 --m last-8 --format json", 0,
+     "f07ef507cb2cc5a3a52d3cdbe14913974bf0d85b7cc534dad2068caa41e0f463"),
+    ("zeros --k 240000 --m last-8 --format csv", 0,
+     "0cbae19021bacccd93197c39a666863e015d1c6ee3790cfd169ad63c27b8a0a3"),
+    ("zeros --k 240000 --m last-8 --format pretty", 0,
+     "cceedd1bb312325ae1a39b8ffdd62cf5179f5245c386d0a8c0173a28a3d5e376"),
+    ("exp-zeros --D 8 --format json", 0,
+     "046f07b08b62b1614759a45e919cfc29688f98acd3d0c4ce3b256dc120d8bcb5"),
+    ("exp-zeros --D 8 --format csv", 0,
+     "57512fe974b82c02f7a980d51b8e87f72e609879e2ee170aa3b0d3b4495b946e"),
+    ("exp-zeros --D 8 --format pretty", 0,
+     "e6c82cb9b2bb85a8f16d1e8722fcd5d35907bde9c6daf986b8b6c76ec94117de"),
+    ("predict --k 240000 --D 8 --format json", 0,
+     "3a34ff96971c7ed7bd35120d4f4de803e00bfdffe996aa200389d2b169f166f7"),
+    ("predict --k 240000 --D 8 --format csv", 0,
+     "54e5b44da8402c0152bbfcb53f49fb1aab1a8bd6f73c054fe17e282b98787e0b"),
+    ("predict --k 240000 --D 8 --format pretty", 0,
+     "73eaab000ff26a60bd644059c35790b38824726baaaa01c5893e8f8ab6a38fc3"),
+    ("figure --D 4 --k-min 2000 --k-max 4000 --format json", 0,
+     "c0471b2d6831b842a87bc50728f3730ecbe68765a77dce44b1b82deb26c773ac"),
+    ("figure --D 4 --k-min 2000 --k-max 4000 --format csv", 0,
+     "240402d9cc6d611c7bf9d550a63f9cdaa91142dac4f50e766201130d640e9fb0"),
+    ("figure --D 4 --k-min 2000 --k-max 4000 --format pretty", 0,
+     "4bab2c6ab04c97bba8c08d6766fcfd082ad5d2e55ec66da08899b296d840a5d6"),
+    ("verify --D 4 --k-min 2400 --k-max 19200 --format json", 0,
+     "6975dd4f0e8e4e3bb08491f4f04728bb1a1ae824638bb3149b576933f06ff35e"),
+    ("verify --D 4 --k-min 2400 --k-max 19200 --format csv", 0,
+     "a4cf05c0ea3733f5907ba1df2088248a3c844dfe33cb596361c6c05e19f4c62e"),
+    ("verify --D 4 --k-min 2400 --k-max 19200 --format pretty", 0,
+     "113b9fccedca60949ca5ac3301a73d700d137b5454f3992de9a7abebffd229e0"),
+    ("basis --k 48 --format json", 0,
+     "3a760c81b79cbe23ffd895816515aa759a7546f697714743395be992176dc5d5"),
+    ("basis --k 48 --format csv", 0,
+     "926bf59423d4db02443baa174a78042424dac988380411fcef97745c09b03cc8"),
+    ("basis --k 48 --format pretty", 0,
+     "77311be58c2f72ce6bcd29d1b715269dce344a050da671ec329cf9eff1797f5a"),
+    ("zeros --k 240000 --m last-21", 0,
+     "bb22b15559003258dc067596236034aea6b7f93cb8d3d5a763d81847ba95533b"),
+    ("zeros --k 24 --m 0", 0, "674e92bb1806bc2dde8eedbc1595ad91de1c9b2f632e9abc8f4d7903b6f71497"),
+    ("verify --D 8 --k-min 2400 --k-max 614400", 3, EMPTY),
+    ("verify --D 8 --k-min 1316 --k-max 25000000", 1,
+     "35d18022d5ee7da40e1565ac204d5a7089337c7a78ba76195e93a34d15eaf45b"),
+    ("exp-zeros --D 21", 0, "11b3d1a09e5da3ec7d1a96c1c9c968853c062eaf1fe2ce6525f4f69e03cbb62e"),
+    ("exp-zeros --D 22", 3, EMPTY),
+    ("exp-zeros --D 171", 2, EMPTY),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "digest"), GOLDEN, ids=[argv for argv, _, _ in GOLDEN])
+def test_cli_stdout_is_byte_identical(capsys, argv, code, digest):
+    assert main(argv.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

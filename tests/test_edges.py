@@ -16,7 +16,7 @@ from faberzeros.faber import faber_polynomial, principal_part
 from faberzeros.halfplane import invert_j, zero_report
 from faberzeros.modforms import decompose_weight, miller_basis_series, miller_form_spec
 from faberzeros.qseries import TruncatedSeries
-from faberzeros.roots import find_roots, truncated_exp_inverse_zeros, truncated_exp_poly
+from faberzeros.roots import find_roots, scaled_faber_roots, truncated_exp_inverse_zeros, truncated_exp_poly
 
 
 def run(capsys, *argv):
@@ -183,6 +183,11 @@ TOLERANCE_ENTRY_POINTS = {
     "invert_j": lambda tol: invert_j(1e6, tol=tol),
     "truncated_exp_inverse_zeros": lambda tol: truncated_exp_inverse_zeros(3, tol=tol),
     "zero_report": lambda tol: zero_report(miller_form_spec(240000, 20000 - 2), tol=tol),
+    # D = 0 returns before any root is found, but the tolerance is still checked
+    "zero_report[D=0]": lambda tol: zero_report(miller_form_spec(24, 2), tol=tol),
+    "scaled_faber_roots[D=0]": lambda tol: scaled_faber_roots(
+        faber_polynomial(miller_form_spec(24, 2)), 24, tol=tol
+    ),
 }
 
 
@@ -207,3 +212,26 @@ def test_every_exported_name_is_bound(module):
     mod = importlib.import_module(module)
     dangling = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not dangling, f"{module}.__all__ names unbound attributes: {dangling}"
+
+
+SUBMODULES = ("errors", "faber", "halfplane", "modforms", "qseries", "roots")
+
+
+def test_package_exports_are_the_submodule_exports():
+    modules = [importlib.import_module(f"faberzeros.{m}") for m in SUBMODULES]
+    declared = [name for mod in modules for name in mod.__all__]
+    assert faberzeros.__all__ == declared + ["__version__"]
+    assert len(set(faberzeros.__all__)) == len(faberzeros.__all__)
+
+
+@pytest.mark.parametrize(
+    ("module", "name"),
+    [
+        ("faber", "horner"),
+        ("halfplane", "MIN_J_MODULUS"),
+        ("halfplane", "MIN_IM_FOR_SERIES"),
+        ("modforms", "ALLOWED_K_PRIME"),
+    ],
+)
+def test_package_binds_the_submodule_object(module, name):
+    assert getattr(faberzeros, name) is getattr(importlib.import_module(f"faberzeros.{module}"), name)

@@ -205,6 +205,12 @@ def test_truncated_exp_poly_beyond_double_range_is_domain_error():
         truncated_exp_inverse_zeros(171)
 
 
+def test_truncated_exp_poly_matches_factorial_ratios():
+    for d in range(1, 171):
+        ratios = [math.factorial(d) // math.factorial(d - nu) for nu in range(d + 1)]
+        assert truncated_exp_poly(d) == ComplexPoly.from_coefficients(ratios)
+
+
 def test_nan_residual_is_rejected():
     # from D = 104 on, p(z) overflows to inf during the Aberth sweeps and the
     # iterates turn NaN; a NaN residual must fail the check, not pass it
