@@ -134,9 +134,12 @@ def _doubling_grid(k_min: int, k_max: int) -> list[int]:
 # -- subcommands -------------------------------------------------------------
 
 
+def _miller_spec(args: argparse.Namespace):
+    return miller_form_spec(args.k, _resolve_m(args.m, decompose_weight(args.k).ell))
+
+
 def cmd_faber(args: argparse.Namespace) -> int:
-    spec = miller_form_spec(args.k, _resolve_m(args.m, decompose_weight(args.k).ell))
-    poly = faber_polynomial(spec)
+    poly = faber_polynomial(_miller_spec(args))
     if args.format == "json":
         _emit(_json_text(poly.to_json_dict()) + "\n", args)
     elif args.format == "csv":
@@ -167,8 +170,7 @@ def _zero_rows(report):
 
 
 def cmd_zeros(args: argparse.Namespace) -> int:
-    spec = miller_form_spec(args.k, _resolve_m(args.m, decompose_weight(args.k).ell))
-    report = zero_report(spec, tol=args.tol, strict=False)
+    report = zero_report(_miller_spec(args), tol=args.tol, strict=False)
     rows = _zero_rows(report)
     if args.format == "json":
         payload = [dict(zip(ZERO_COLUMNS, row)) for row in rows]
@@ -198,19 +200,8 @@ def cmd_exp_zeros(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _predicted_points(k: int, limits) -> list[tuple[int, int, float, float]]:
-    points = []
-    for r, z in enumerate(limits.roots):
-        tau = predicted_zero(k, z).tau
-        points.append((k, r + 1, tau.real, tau.imag))
-    return points
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    _even("k", args.k)
-    limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol)
-    rows = _predicted_points(args.k, limits)
-    _emit_points(rows, args)
+    _emit_points([_even("k", args.k)], args)
     return EXIT_OK
 
 
@@ -221,15 +212,18 @@ def cmd_figure(args: argparse.Namespace) -> int:
         _even(name, val)
     if args.k_min <= 0 or args.k_min > args.k_max or args.k_step <= 0:
         raise DomainError("grid requires 0 < k-min <= k-max and k-step > 0")
-    limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol)
-    rows = []
-    for k in range(args.k_min, args.k_max + 1, args.k_step):
-        rows.extend(_predicted_points(k, limits))
-    _emit_points(rows, args)
+    _emit_points(range(args.k_min, args.k_max + 1, args.k_step), args)
     return EXIT_OK
 
 
-def _emit_points(rows, args: argparse.Namespace) -> None:
+def _emit_points(weights, args: argparse.Namespace) -> None:
+    """The predicted zero of every weight and every inverse zero z_{D,r}, one row each."""
+    limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol).roots
+    rows = []
+    for k in weights:
+        for r, z in enumerate(limits, 1):
+            tau = predicted_zero(k, z).tau
+            rows.append((k, r, tau.real, tau.imag))
     if args.format == "json":
         payload = [{"k": k, "r": r, "re": re_, "im": im} for k, r, re_, im in rows]
         _emit(_json_text(payload) + "\n", args)

@@ -56,10 +56,6 @@ class FaberPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, t):
-        """F(t) by Horner's rule; exact for exact t, complex for complex t."""
-        return horner(self.coeffs, t)
-
     def evaluate_series(self, s: TruncatedSeries) -> TruncatedSeries:
         """Horner evaluation at a series argument (used to verify f = Delta^ell E_k' F(j))."""
         big = s.order + (self.degree + 1) * max(1, -min(s.valuation, 0)) + 1
@@ -75,13 +71,6 @@ class FaberPoly:
             "D": self.degree,
             "coeffs_desc": [str(c) for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FaberPoly":
-        poly = cls(k=d["k"], m=d["m"], coeffs=tuple(Fraction(c) for c in d["coeffs_desc"]))
-        if poly.degree != d["D"]:
-            raise DomainError("inconsistent degree in serialized Faber polynomial")
-        return poly
 
     def __str__(self):
         d = self.degree

@@ -23,6 +23,7 @@ from .roots import _check_tolerance, match_roots, scaled_faber_roots, truncated_
 
 __all__ = [
     "MIN_J_MODULUS",
+    "MAX_J_MODULUS",
     "MIN_IM_FOR_SERIES",
     "HalfPlanePoint",
     "JEvaluation",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 MIN_J_MODULUS = 2000.0  # below this, Newton inversion of the truncated series is refused
+MAX_J_MODULUS = 1e150  # above this, q^2 ~ 1/t^2 in the Newton step is no longer a normal double
 MIN_IM_FOR_SERIES = 0.8  # guarantees |q| <= e^(-1.6 pi), fast tail decay
 _BOUNDARY_EPS = 1e-12
 
@@ -50,12 +52,10 @@ def _j_coefficients(count: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True, slots=True)
 class HalfPlanePoint:
-    """A point tau with Im(tau) > 0; ``reduced`` records membership in the
-    fundamental domain (Re in [-1/2, 1/2), |tau| >= 1, and Re <= 0 on the
-    unit circle)."""
+    """A point tau with Im(tau) > 0; ``in_fundamental_domain(p.tau)`` tells
+    whether it is reduced."""
 
     tau: complex
-    reduced: bool
 
     def __post_init__(self):
         if not self.tau.imag > 0:
@@ -129,7 +129,7 @@ def _j_and_derivative(coeffs, q):
 
 
 def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
-    """Solve j(tau) = t by Newton iteration in the nome, for |t| >= 2000.
+    """Solve j(tau) = t by Newton iteration in the nome, for 2000 <= |t| <= 1e150.
 
     The truncation length is grown until the series tail is negligible
     against tol * |t|; the iteration starts from q = 1/t.  The real part
@@ -139,6 +139,8 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     t = complex(t)
     if abs(t) < MIN_J_MODULUS:
         raise DomainError(f"{OUT_OF_REGIME}: |t| = {abs(t):.6g} < {MIN_J_MODULUS:.0f}")
+    if not abs(t) <= MAX_J_MODULUS:  # also refuses inf and nan
+        raise DomainError(f"|t| = {abs(t):.6g} is not <= {MAX_J_MODULUS:.0e}: q^2 would underflow")
     target = tol * abs(t)
 
     terms = 16
@@ -170,8 +172,7 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     if x >= 0.5:
         x -= 1.0
     y = -math.log(abs(q)) / (2 * math.pi)
-    tau = complex(x, y)
-    return HalfPlanePoint(tau=tau, reduced=in_fundamental_domain(tau))
+    return HalfPlanePoint(tau=complex(x, y))
 
 
 def reduce_to_fundamental_domain(tau: complex) -> HalfPlanePoint:
@@ -199,8 +200,7 @@ def reduce_to_fundamental_domain(tau: complex) -> HalfPlanePoint:
     if abs(r2 - 1.0) <= _BOUNDARY_EPS and x > 0:
         x = -x  # -1/tau on the unit circle, up to the translation already applied
         x -= math.floor(x + 0.5)
-    point = complex(x, y)
-    return HalfPlanePoint(tau=point, reduced=in_fundamental_domain(point))
+    return HalfPlanePoint(tau=complex(x, y))
 
 
 def predicted_zero(k: int, z: complex) -> HalfPlanePoint:
@@ -214,7 +214,10 @@ def predicted_zero(k: int, z: complex) -> HalfPlanePoint:
         raise DomainError("z must be nonzero")
     if k <= 0:
         raise DomainError(f"weight must be positive, got {k}")
-    modulus = 2 * k * abs(z)
+    try:
+        modulus = 2 * k * abs(z)
+    except OverflowError:
+        raise DomainError("2k|z| exceeds the double range: the weight is too large") from None
     if modulus <= 1:
         raise DomainError(f"2k|z| = {modulus:.6g} <= 1 gives a non-positive height")
     theta = cmath.phase(z)
@@ -223,8 +226,7 @@ def predicted_zero(k: int, z: complex) -> HalfPlanePoint:
     x = -theta / (2 * math.pi)
     if x >= 0.5:
         x -= 1.0
-    tau = complex(x, math.log(modulus) / (2 * math.pi))
-    return HalfPlanePoint(tau=tau, reduced=in_fundamental_domain(tau))
+    return HalfPlanePoint(tau=complex(x, math.log(modulus) / (2 * math.pi)))
 
 
 def _seam_distance(a: complex, b: complex) -> float:
@@ -283,7 +285,10 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     pairing = match_roots(scaled, limits)
     root_for_limit = {j: scaled.roots[i] for i, j in pairing.pairs}
 
-    f_float = [float(c) for c in f.coeffs]
+    try:
+        f_float = [float(c) for c in f.coeffs]
+    except OverflowError:
+        raise DomainError(f"Faber coefficients of degree {d} exceed the double range") from None
     f_scale = max(abs(c) for c in f_float)
 
     rows = []

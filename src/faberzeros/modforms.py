@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import DomainError
 from .qseries import TruncatedSeries, delta_series, eisenstein_series, _exact
@@ -73,11 +74,12 @@ class ModularFormSpec:
     unit_coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "unit_coeffs", tuple(_exact(c) for c in self.unit_coeffs))
+        # m first: the builders pass lazy windows whose length is ell - m
         if not 0 <= self.m <= self.weight.ell:
             raise DomainError(
                 f"vanishing order m={self.m} out of range 0..{self.weight.ell} for k={self.weight.k}"
             )
+        object.__setattr__(self, "unit_coeffs", tuple(_exact(c) for c in self.unit_coeffs))
         if len(self.unit_coeffs) != self.degree + 1:
             raise DomainError(
                 f"expected {self.degree + 1} unit coefficients, got {len(self.unit_coeffs)}"
@@ -102,21 +104,6 @@ class ModularFormSpec:
         """Degree D = ell - m of the associated Faber polynomial."""
         return self.weight.ell - self.m
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "unit_coeffs": [str(c) for c in self.unit_coeffs],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModularFormSpec":
-        return cls(
-            weight=decompose_weight(d["k"]),
-            m=d["m"],
-            unit_coeffs=tuple(Fraction(c) for c in d["unit_coeffs"]),
-        )
-
 
 def miller_form_spec(k: int, m: int) -> ModularFormSpec:
     """The Miller basis element f_{k,m} = q^m + O(q^{ell+1}).
@@ -124,11 +111,7 @@ def miller_form_spec(k: int, m: int) -> ModularFormSpec:
     By the gap condition its window y(0..D) is exactly (1, 0, ..., 0);
     no series computation is needed.
     """
-    weight = decompose_weight(k)
-    if not 0 <= m <= weight.ell:
-        raise DomainError(f"m={m} out of range 0..{weight.ell} for k={k}")
-    d = weight.ell - m
-    return ModularFormSpec(weight=weight, m=m, unit_coeffs=(Fraction(1),) + (Fraction(0),) * d)
+    return custom_form_spec(k, m, repeat(0, decompose_weight(k).ell - m))
 
 
 def custom_form_spec(k: int, m: int, a) -> ModularFormSpec:
@@ -137,14 +120,7 @@ def custom_form_spec(k: int, m: int, a) -> ModularFormSpec:
     Such a form always exists: adjust f_{k,m} by Miller elements of higher
     vanishing order.  ``a`` must have exactly D = ell - m entries.
     """
-    weight = decompose_weight(k)
-    if not 0 <= m <= weight.ell:
-        raise DomainError(f"m={m} out of range 0..{weight.ell} for k={k}")
-    a = tuple(_exact(x) for x in a)
-    d = weight.ell - m
-    if len(a) != d:
-        raise DomainError(f"expected {d} coefficients a(1..D), got {len(a)}")
-    return ModularFormSpec(weight=weight, m=m, unit_coeffs=(Fraction(1),) + a)
+    return ModularFormSpec(weight=decompose_weight(k), m=m, unit_coeffs=chain((1,), a))
 
 
 def _monomial_exponents(weight: int) -> tuple[int, int]:

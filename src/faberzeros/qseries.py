@@ -279,10 +279,6 @@ class TruncatedSeries:
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TruncatedSeries":
-        return cls(d["valuation"], d["coeffs"], d["order"])
-
     def __repr__(self):
         return f"TruncatedSeries(valuation={self.valuation}, coeffs={self.coeffs}, order={self.order})"
 

@@ -84,15 +84,6 @@ class ComplexPoly:
         """Round the exact coefficients to nearest doubles (relative error <= 2^-53 each)."""
         return cls.from_coefficients([float(c) for c in f.coeffs])
 
-    @classmethod
-    def rescaled_from_faber(cls, f: FaberPoly, k: int) -> "ComplexPoly":
-        """g_k(z) = F(2k z) / (2k)^D, computed exactly before the float rounding."""
-        if k <= 0:
-            raise DomainError(f"weight must be positive, got {k}")
-        scale = Fraction(2 * k)
-        exact = [c / scale**s for s, c in enumerate(f.coeffs)]
-        return cls.from_coefficients([float(c) for c in exact])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -304,12 +295,15 @@ def match_roots(a, b) -> Pairing:
 def scaled_faber_roots(f: FaberPoly, k: int, tol: float = 1e-10) -> RootSet:
     """The roots z of the rescaled g_k(z) = F(2k z)/(2k)^D, one find_roots solve.
 
-    The roots of F itself are t = 2k z (same order); the residual is the
-    finder's, measured on g_k.
+    The coefficients of g_k are computed exactly before the float
+    rounding.  The roots of F itself are t = 2k z (same order); the
+    residual is the finder's, measured on g_k.
     """
     _check_tolerance(tol)
     if k <= 0:
         raise DomainError(f"weight must be positive, got {k}")
     if f.degree == 0:
         return RootSet(roots=(), residual=0.0)
-    return find_roots(ComplexPoly.rescaled_from_faber(f, k), tol=tol)
+    scale = Fraction(2 * k)
+    g = ComplexPoly.from_coefficients(float(c / scale**s) for s, c in enumerate(f.coeffs))
+    return find_roots(g, tol=tol)

@@ -105,6 +105,25 @@ def test_degree_beyond_double_range_is_invalid_input(capsys, argv):
     assert err.startswith("faberzeros: invalid input:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", "--k", str(12 * 10**140), "--m", "last-3"),  # Faber coefficients overflow
+        ("zeros", "--k", str(12 * 10**165), "--m", "last-1"),  # the nome would underflow
+        ("predict", "--k", str(10**310), "--D", "2"),  # 2k|z| overflows
+        ("figure", "--D", "2", "--k-min", str(10**310), "--k-max", str(10**310)),
+        ("verify", "--D", "2", "--k-min", "2400", "--k-max", str(10**200)),
+    ],
+    ids=["zeros-overflow", "zeros-underflow", "predict", "figure", "verify"],
+)
+def test_huge_weight_is_invalid_input(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("faberzeros: invalid input:")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_huge_degree_is_refused_at_once(capsys):
     # the first D!/(D - nu)! beyond a double is refused before the rest are built
     start = time.perf_counter()

@@ -11,6 +11,7 @@ import pytest
 
 from faberzeros.errors import DomainError
 from faberzeros.halfplane import (
+    MAX_J_MODULUS,
     OUT_OF_REGIME,
     HalfPlanePoint,
     JEvaluation,
@@ -95,7 +96,7 @@ def test_invert_j_round_trip_specific():
 def test_invert_j_at_287496():
     p = invert_j(287496)
     assert abs(p.tau - 2j) < 1e-8
-    assert p.reduced
+    assert in_fundamental_domain(p.tau)
 
 
 def test_invert_j_heegner_point():
@@ -127,6 +128,18 @@ def test_invert_j_refuses_small_modulus():
         invert_j(1999.0)
 
 
+@pytest.mark.parametrize("t", [1e200, math.inf, math.nan, complex(0, math.inf)])
+def test_invert_j_refuses_huge_or_non_finite_modulus(t):
+    with pytest.raises(DomainError):
+        invert_j(t)
+
+
+def test_invert_j_at_the_modulus_ceiling():
+    for t in (MAX_J_MODULUS, -MAX_J_MODULUS, 1j * MAX_J_MODULUS):
+        tau = invert_j(t).tau
+        assert abs(evaluate_j(tau).value - t) <= 1e-10 * abs(t)
+
+
 # --- reduction ---------------------------------------------------------------------
 
 
@@ -142,7 +155,7 @@ def test_reduce_circle_corner_convention():
     rho = cmath.exp(2j * math.pi / 3)
     got = reduce_to_fundamental_domain(cmath.exp(1j * math.pi / 3))
     assert abs(got.tau - rho) < 1e-12
-    assert got.reduced
+    assert in_fundamental_domain(got.tau)
 
 
 def test_reduce_idempotent_and_valid():
@@ -150,7 +163,6 @@ def test_reduce_idempotent_and_valid():
     for _ in range(200):
         tau = complex(rng.uniform(-8, 8), rng.uniform(0.02, 5.0))
         p = reduce_to_fundamental_domain(tau)
-        assert p.reduced
         assert in_fundamental_domain(p.tau)
         again = reduce_to_fundamental_domain(p.tau)
         assert abs(again.tau - p.tau) < 1e-12
@@ -197,7 +209,7 @@ def test_predicted_zero_domain():
 
 def test_half_plane_point_requires_positive_imaginary():
     with pytest.raises(DomainError):
-        HalfPlanePoint(tau=1 - 0.5j, reduced=False)
+        HalfPlanePoint(tau=1 - 0.5j)
 
 
 # --- zero reports --------------------------------------------------------------------
@@ -219,7 +231,7 @@ def test_nontrivial_zeros_penultimate_large_weight():
     zeros = [row.tau for row in zero_report(spec).rows]
     assert len(zeros) == 1
     z = zeros[0]
-    assert z.reduced
+    assert in_fundamental_domain(z.tau)
     # the crude nome estimate log(2k - 744)/2pi sits within ~5e-3 of the
     # true height log(2k + gamma(0) - 196884/(2k) + ...)/2pi
     crude = complex(-0.5, math.log(2 * k - 744) / (2 * math.pi))
@@ -375,7 +387,7 @@ def test_zero_report_safe_in_parallel_with_shared_limit_cache():
 
 
 def test_report_dataclasses_are_slotted_and_frozen():
-    point = HalfPlanePoint(tau=0.1 + 1.2j, reduced=True)
+    point = HalfPlanePoint(tau=0.1 + 1.2j)
     row = ZeroReportRow(
         r=1, t=-23256 + 0j, tau=point, tau_hat=point, abs_err=0.0, k_times_err=0.0, t_gap=0.0
     )

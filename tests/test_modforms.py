@@ -50,8 +50,27 @@ def test_miller_form_spec_examples():
 
 
 def test_miller_form_spec_range():
+    # m = -1, m = ell + 1, and an m refused before a window of ell - m zeros is built
+    for m in (-1, 3, -(10**18)):
+        with pytest.raises(DomainError, match="out of range"):
+            miller_form_spec(24, m)
+
+
+@pytest.mark.parametrize(
+    ("m", "a"),
+    [
+        (-1, [0, 0, 0]),  # m = -1
+        (3, []),  # m = ell + 1
+        (1, []),  # window too short for D = 1
+        (1, [1, 2]),  # window too long for D = 1
+        (1, [0.5]),  # float entry
+        (0, [1, 2.0]),  # integral float entry
+    ],
+    ids=["m=-1", "m=ell+1", "short", "long", "float", "integral-float"],
+)
+def test_custom_form_spec_refuses_bad_input(m, a):
     with pytest.raises(DomainError):
-        miller_form_spec(24, 3)
+        custom_form_spec(24, m, a)
 
 
 def test_custom_form_spec_examples():
@@ -65,13 +84,6 @@ def test_custom_form_spec_examples():
 def test_spec_rejects_zero_leading_coefficient():
     with pytest.raises(DomainError):
         ModularFormSpec(weight=decompose_weight(24), m=0, unit_coeffs=(0, 1, 1))
-
-
-def test_spec_json_round_trip():
-    spec = custom_form_spec(48, 2, [Fraction(1, 3), -2])
-    d = spec.to_json_dict()
-    assert d == {"k": 48, "m": 2, "unit_coeffs": ["1", "1/3", "-2"]}
-    assert ModularFormSpec.from_json_dict(d) == spec
 
 
 def test_basis_weight_12():
