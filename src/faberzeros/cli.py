@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError, NumericalError
 from .faber import faber_polynomial, renormalized_coeffs
-from .halfplane import OUT_OF_REGIME, predicted_zero, zero_report
+from .halfplane import OUT_OF_REGIME, _prediction_height, _prediction_line, zero_report
 from .modforms import decompose_weight, miller_basis_series, miller_form_spec
 from .roots import _check_tolerance, truncated_exp_inverse_zeros
 
@@ -42,8 +42,19 @@ def _fmt(x: float) -> str:
 
 def _json_text(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats rendered at 17 significant digits."""
+    if isinstance(obj, float):
+        return _fmt(obj)
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if obj is None:
+        return "null"
     pad = "  " * indent
-    pad_in = "  " * (indent + 1)
+    pad_in = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -54,33 +65,24 @@ def _json_text(obj, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad_in}{_json_text(val, indent + 1)}" for val in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
     raise TypeError(f"not JSON-serializable here: {type(obj)}")
 
 
 def _csv_cell(value) -> str:
+    # the text of a float or an int never holds a comma, a quote or a newline
     if isinstance(value, float):
-        text = _fmt(value)
-    else:
-        text = str(value)
-    if any(ch in text for ch in ',"\n'):
+        return _fmt(value)
+    if isinstance(value, int):
+        return str(value)
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
 def _csv_text(header, rows) -> str:
-    lines = [",".join(_csv_cell(c) for c in header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+    lines = [",".join(map(_csv_cell, header))]
+    lines.extend(",".join(map(_csv_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -217,13 +219,13 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _emit_points(weights, args: argparse.Namespace) -> None:
-    """The predicted zero of every weight and every inverse zero z_{D,r}, one row each."""
+    """The predicted zero of every weight and every inverse zero z_{D,r}, one row each.
+
+    Each z_{D,r} fixes a vertical line; the weight only sets the height on it.
+    """
     limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol).roots
-    rows = []
-    for k in weights:
-        for r, z in enumerate(limits, 1):
-            tau = predicted_zero(k, z).tau
-            rows.append((k, r, tau.real, tau.imag))
+    tracks = [(r, *_prediction_line(z)) for r, z in enumerate(limits, 1)]
+    rows = [(k, r, x, _prediction_height(k, z_abs)) for k in weights for r, x, z_abs in tracks]
     if args.format == "json":
         payload = [{"k": k, "r": r, "re": re_, "im": im} for k, r, re_, im in rows]
         _emit(_json_text(payload) + "\n", args)

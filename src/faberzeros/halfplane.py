@@ -203,30 +203,42 @@ def reduce_to_fundamental_domain(tau: complex) -> HalfPlanePoint:
     return HalfPlanePoint(tau=complex(x, y))
 
 
-def predicted_zero(k: int, z: complex) -> HalfPlanePoint:
-    """The predicted zero (i / 2 pi) * log(2k z), Re normalized into [-1/2, 1/2).
-
-    The argument of z is taken in [-pi, pi), which places the predictions
-    on the vertical lines Re = -arg(z)/(2 pi).
-    """
+def _prediction_line(z: complex) -> tuple[float, float]:
+    """The line Re = -arg(z)/(2 pi) of z's predictions, normalized into
+    [-1/2, 1/2) with arg(z) in [-pi, pi), and |z|."""
     z = complex(z)
     if z == 0:
         raise DomainError("z must be nonzero")
-    if k <= 0:
-        raise DomainError(f"weight must be positive, got {k}")
-    try:
-        modulus = 2 * k * abs(z)
-    except OverflowError:
-        raise DomainError("2k|z| exceeds the double range: the weight is too large") from None
-    if modulus <= 1:
-        raise DomainError(f"2k|z| = {modulus:.6g} <= 1 gives a non-positive height")
     theta = cmath.phase(z)
     if theta >= math.pi:
         theta = -math.pi
     x = -theta / (2 * math.pi)
     if x >= 0.5:
         x -= 1.0
-    return HalfPlanePoint(tau=complex(x, math.log(modulus) / (2 * math.pi)))
+    return x, abs(z)
+
+
+def _prediction_height(k: int, z_abs: float) -> float:
+    """The height log(2k|z|)/(2 pi) of the weight-k prediction on z's line."""
+    if k <= 0:
+        raise DomainError(f"weight must be positive, got {k}")
+    try:
+        modulus = 2 * k * z_abs
+    except OverflowError:
+        raise DomainError("2k|z| exceeds the double range: the weight is too large") from None
+    if modulus <= 1:
+        raise DomainError(f"2k|z| = {modulus:.6g} <= 1 gives a non-positive height")
+    return math.log(modulus) / (2 * math.pi)
+
+
+def predicted_zero(k: int, z: complex) -> HalfPlanePoint:
+    """The predicted zero (i / 2 pi) * log(2k z), Re normalized into [-1/2, 1/2).
+
+    The argument of z is taken in [-pi, pi), which places the predictions
+    on the vertical lines Re = -arg(z)/(2 pi).
+    """
+    x, z_abs = _prediction_line(z)
+    return HalfPlanePoint(tau=complex(x, _prediction_height(k, z_abs)))
 
 
 def _seam_distance(a: complex, b: complex) -> float:

@@ -3,10 +3,20 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
-from faberzeros.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFY_FAILED, main
+from faberzeros.cli import (
+    EXIT_INVALID,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    _csv_cell,
+    _fmt,
+    _json_text,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -122,6 +132,26 @@ def test_huge_weight_is_invalid_input(capsys, argv):
     assert code == EXIT_INVALID and out == ""
     assert err.startswith("faberzeros: invalid input:")
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("figure", "--D", "12", "--k-min", "2", "--k-max", "8", "--k-step", "2"),
+            "2k|z| = 0.950639 <= 1 gives a non-positive height",
+        ),
+        (
+            ("predict", "--k", str(10**310), "--D", "2"),
+            "2k|z| exceeds the double range: the weight is too large",
+        ),
+    ],
+    ids=["figure-height", "predict-overflow"],
+)
+def test_point_refusals_print_one_exact_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"faberzeros: invalid input: {message}\n"
 
 
 def test_huge_degree_is_refused_at_once(capsys):
@@ -357,3 +387,31 @@ def test_default_format_per_subcommand(capsys, argv, fmt):
     assert run(capsys, *argv, "--format", fmt) == (code, out, "")
     others = [f for f in ("json", "csv", "pretty") if f != fmt]
     assert all(run(capsys, *argv, "--format", f)[1] != out for f in others)
+
+
+def test_json_writer_dispatch():
+    assert _json_text(True) == "true" and _json_text(False) == "false"
+    assert _json_text([True, 1, 1.0]) == "[\n  true,\n  1,\n  1\n]"
+    assert _json_text(None) == "null"
+    assert _json_text({"a": {}, "b": [[]]}) == '{\n  "a": {},\n  "b": [\n    []\n  ]\n}'
+    assert _json_text('a\\b"c') == '"a\\\\b\\"c"'
+    assert json.loads(_json_text({"s": 'a\\b"c'})) == {"s": 'a\\b"c'}
+    with pytest.raises(TypeError):
+        _json_text(Fraction(1, 3))
+    with pytest.raises(TypeError):
+        _json_text([Fraction(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "text, cell",
+    [("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""'), ("a\nb", '"a\nb"'), ("plain", "plain")],
+)
+def test_csv_cell_quotes_only_strings_that_need_it(text, cell):
+    assert _csv_cell(text) == cell
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -0.0, 1e300, 0.1, 7, -3, True])
+def test_csv_cell_never_quotes_numbers(value):
+    cell = _csv_cell(value)
+    assert cell == (_fmt(value) if isinstance(value, float) else str(value))
+    assert not any(ch in cell for ch in ',"\n')

@@ -10,9 +10,17 @@ Float digests are tied to the CPython and libm they were recorded with:
 the 17-digit float text can differ in the last place on another platform.
 A change that moves floats on purpose (ROADMAP item 2b, a different root
 polish) re-records the table and says so in CHANGES.md.
+
+Run as a script to record rows from the current checkout; it prints one
+``(argv, exit code, sha256)`` row per argument and never rewrites this file:
+
+    PYTHONPATH=src python tests/test_cli_golden.py "figure --D 4 --k-min 2000 --k-max 4000"
 """
 
+import contextlib
 import hashlib
+import io
+import sys
 
 import pytest
 
@@ -72,6 +80,22 @@ GOLDEN = [
     ("exp-zeros --D 21", 0, "11b3d1a09e5da3ec7d1a96c1c9c968853c062eaf1fe2ce6525f4f69e03cbb62e"),
     ("exp-zeros --D 22", 3, EMPTY),
     ("exp-zeros --D 171", 2, EMPTY),
+    ("figure --D 11 --k-min 2000 --k-max 6000000 --k-step 2000 --format json", 0,
+     "413280cfa57e6eb52352d6b044a7a140cf63bf160fe742c80d1a0a94ef812e64"),
+    ("figure --D 11 --k-min 2000 --k-max 6000000 --k-step 2000 --format csv", 0,
+     "02aa3c9e250b646bfd0762cbe6d2725c44b3a99c39f6a9aec79cefc4f0ad23ab"),
+    ("figure --D 11 --k-min 2000 --k-max 6000000 --k-step 2000 --format pretty", 0,
+     "f903ffc06171d2cbbd7e74354a4570570053030c493f95570b24deb077eb9e14"),
+    ("figure --D 12 --k-min 1200 --k-max 5000000 --k-step 2400 --format json", 0,
+     "af2a301e02a5b0056c7075fc4fdb47b7aee516801bf725f3cab962c1b6515d2f"),
+    ("figure --D 12 --k-min 1200 --k-max 5000000 --k-step 2400 --format csv", 0,
+     "41930ee67b23e78bea295d2703696e38aa1a55a861f641cb0cbe995577d4fb09"),
+    ("figure --D 12 --k-min 1200 --k-max 5000000 --k-step 2400 --format pretty", 0,
+     "1a250c5c5a9168840e2c0449f9265ccacf0f373beea703db93f1513e9d7e5dfb"),
+    ("predict --k 240000 --D 21 --format pretty", 0,
+     "deaf0c4910c6433723497c0afafb4a358ff142ddc325ac950550b194d9abac6d"),
+    ("figure --D 3 --k-min 2 --k-max 4000 --k-step 2 --format json", 0,
+     "8d289b6575d1760cb8ce6878d43689ab773ac6f8b5fc4d9cd7ab1ac88aa00a90"),
 ]
 
 
@@ -80,3 +104,16 @@ def test_cli_stdout_is_byte_identical(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def record(argv: str) -> tuple[str, int, str]:
+    """The golden row of one argv, computed by the current checkout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv.split())
+    return argv, code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    for argv in sys.argv[1:]:
+        print(record(argv))

@@ -207,6 +207,44 @@ def test_predicted_zero_domain():
         predicted_zero(2, complex(0.1, 0))  # 2k|z| < 1
 
 
+def _reference_tau(k: int, z: complex) -> complex:
+    # the prediction formula as one expression, kept here as the reference
+    theta = cmath.phase(z)
+    if theta >= math.pi:
+        theta = -math.pi
+    x = -theta / (2 * math.pi)
+    if x >= 0.5:
+        x -= 1.0
+    return complex(x, math.log(2 * k * abs(z)) / (2 * math.pi))
+
+
+def _bits(tau: complex) -> tuple[str, str]:
+    return tau.real.hex(), tau.imag.hex()
+
+
+def test_predicted_zero_is_bitwise_the_reference_formula(capsys):
+    from faberzeros.cli import main
+
+    for d in range(1, 22):
+        roots = truncated_exp_inverse_zeros(d).roots
+        for z in roots:
+            k0 = math.floor(1 / (2 * abs(z))) + 1  # the first k with 2k|z| > 1
+            assert 2 * k0 * abs(z) > 1 >= 2 * (k0 - 1) * abs(z)
+            for k in [k0 + 1] + [k0 * 10**e for e in range(300) if k0 * 10**e <= 10**300]:
+                assert _bits(predicted_zero(k, z).tau) == _bits(_reference_tau(k, z)), (d, z, k)
+        # the figure rows print exactly these values, k-major and r-minor
+        k_even = 2 * max(math.floor(1 / (2 * abs(z))) + 1 for z in roots)
+        for e in range(0, 300, 50):
+            k = k_even * 10**e
+            assert main(["figure", "--D", str(d), "--k-min", str(k), "--k-max", str(k)]) == 0
+            rows = capsys.readouterr().out.strip().split("\n")[1:]
+            assert len(rows) == d
+            for r, (row, z) in enumerate(zip(rows, roots), 1):
+                kk, rr, re_, im = row.split(",")
+                assert (int(kk), int(rr)) == (k, r)
+                assert _bits(complex(float(re_), float(im))) == _bits(_reference_tau(k, z))
+
+
 def test_half_plane_point_requires_positive_imaginary():
     with pytest.raises(DomainError):
         HalfPlanePoint(tau=1 - 0.5j)
