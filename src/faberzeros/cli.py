@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failed, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -222,18 +223,36 @@ def _emit_points(weights, args: argparse.Namespace) -> None:
     """The predicted zero of every weight and every inverse zero z_{D,r}, one row each.
 
     Each z_{D,r} fixes a vertical line; the weight only sets the height on it.
+    So r and Re are formatted once per line, and each point costs one
+    logarithm and one f-string: the bytes ``_json_text``/``_csv_text`` would
+    write for the ``(k, r, re, im)`` rows, k-major and r-minor.
     """
     limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol).roots
     tracks = [(r, *_prediction_line(z)) for r, z in enumerate(limits, 1)]
-    rows = [(k, r, x, _prediction_height(k, z_abs)) for k in weights for r, x, z_abs in tracks]
     if args.format == "json":
-        payload = [{"k": k, "r": r, "re": re_, "im": im} for k, r, re_, im in rows]
-        _emit(_json_text(payload) + "\n", args)
+        shared = [
+            (f',\n    "r": {r},\n    "re": {_fmt(x)},\n    "im": ', z_abs) for r, x, z_abs in tracks
+        ]
+        rows = [
+            f'  {{\n    "k": {k}{mid}{_fmt(_prediction_height(k, z_abs))}\n  }}'
+            for k in weights for mid, z_abs in shared
+        ]
+        text = "[\n" + ",\n".join(rows) + "\n]\n"
     elif args.format == "csv":
-        _emit(_csv_text(("k", "r", "re", "im"), rows), args)
+        shared = [(f",{r},{_fmt(x)},", z_abs) for r, x, z_abs in tracks]
+        rows = [
+            f"{k}{mid}{_fmt(_prediction_height(k, z_abs))}"
+            for k in weights for mid, z_abs in shared
+        ]
+        text = "k,r,re,im\n" + "\n".join(rows) + "\n"
     else:
-        lines = [f"k={k} r={r}: {_fmt(re_)} + {_fmt(im)}i" for k, r, re_, im in rows]
-        _emit("\n".join(lines) + "\n", args)
+        shared = [(f" r={r}: {_fmt(x)} + ", z_abs) for r, x, z_abs in tracks]
+        rows = [
+            f"k={k}{mid}{_fmt(_prediction_height(k, z_abs))}i"
+            for k in weights for mid, z_abs in shared
+        ]
+        text = "\n".join(rows) + "\n"
+    _emit(text, args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -339,6 +358,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+@functools.cache  # built on the first main() call, reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="faberzeros",

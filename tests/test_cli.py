@@ -1,5 +1,7 @@
 """CLI contract: schemas, exit codes, aliases, determinism."""
 
+import csv
+import io
 import json
 import math
 import time
@@ -13,10 +15,13 @@ from faberzeros.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     _csv_cell,
+    _csv_text,
     _fmt,
     _json_text,
     main,
 )
+from faberzeros.halfplane import _prediction_height, _prediction_line
+from faberzeros.roots import truncated_exp_inverse_zeros
 
 
 def run(capsys, *argv):
@@ -145,8 +150,18 @@ def test_huge_weight_is_invalid_input(capsys, argv):
             ("predict", "--k", str(10**310), "--D", "2"),
             "2k|z| exceeds the double range: the weight is too large",
         ),
+        # the first weight's first tracks pass; r = 6 (D = 12) and r = 4 (D = 8) fail
+        (
+            ("figure", "--D", "12", "--k-min", "4", "--k-max", "8", "--k-step", "2"),
+            "2k|z| = 0.996512 <= 1 gives a non-positive height",
+        ),
+        (
+            ("figure", "--D", "8", "--k-min", "2", "--k-max", "8", "--k-step", "2",
+             "--format", "json"),
+            "2k|z| = 0.778113 <= 1 gives a non-positive height",
+        ),
     ],
-    ids=["figure-height", "predict-overflow"],
+    ids=["figure-height", "predict-overflow", "figure-later-track", "figure-later-track-json"],
 )
 def test_point_refusals_print_one_exact_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -242,6 +257,43 @@ def test_figure_single_point_on_seam(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert float(lines[1].split(",")[2]) == -0.5
+
+
+def _generic_points_text(weights, degree, fmt):
+    """The points text as the generic writers build it from (k, r, re, im) rows."""
+    limits = truncated_exp_inverse_zeros(degree, tol=1e-10).roots
+    tracks = [(r, *_prediction_line(z)) for r, z in enumerate(limits, 1)]
+    rows = [(k, r, x, _prediction_height(k, z_abs)) for k in weights for r, x, z_abs in tracks]
+    if fmt == "json":
+        return _json_text([{"k": k, "r": r, "re": x, "im": im} for k, r, x, im in rows]) + "\n"
+    if fmt == "csv":
+        return _csv_text(("k", "r", "re", "im"), rows)
+    return "\n".join(f"k={k} r={r}: {_fmt(x)} + {_fmt(im)}i" for k, r, x, im in rows) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("degree", [*range(1, 13), 21])
+def test_points_writer_matches_generic_writers(capsys, degree, fmt):
+    limits = truncated_exp_inverse_zeros(degree, tol=1e-10).roots
+    runs = [(("predict", "--k", "240000"), [240000])]
+    for k_min, count, step in [(8, 2, 2), (1000, 17, 1000), (8, 50, 2), (12000, 50, 240000)]:
+        k_max = k_min + (count - 1) * step
+        grid = ("figure", "--k-min", str(k_min), "--k-max", str(k_max), "--k-step", str(step))
+        runs.append((grid, list(range(k_min, k_max + 1, step))))
+    for argv, weights in runs:
+        code, out, _ = run(capsys, *argv, "--D", str(degree), "--format", fmt)
+        assert code == EXIT_OK and out == _generic_points_text(weights, degree, fmt)
+        expected = [
+            (k, r, _prediction_height(k, abs(z)).hex())
+            for k in weights for r, z in enumerate(limits, 1)
+        ]
+        if fmt == "json":
+            parsed = [(p["k"], p["r"], p["im"].hex()) for p in json.loads(out)]
+            assert parsed == expected
+        elif fmt == "csv":
+            reader = csv.DictReader(io.StringIO(out))
+            parsed = [(int(p["k"]), int(p["r"]), float(p["im"]).hex()) for p in reader]
+            assert parsed == expected
 
 
 def test_figure_rejects_degree_zero(capsys):

@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from faberzeros.cli import main
+from faberzeros.cli import _build_parser, main
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -96,6 +96,27 @@ GOLDEN = [
      "deaf0c4910c6433723497c0afafb4a358ff142ddc325ac950550b194d9abac6d"),
     ("figure --D 3 --k-min 2 --k-max 4000 --k-step 2 --format json", 0,
      "8d289b6575d1760cb8ce6878d43689ab773ac6f8b5fc4d9cd7ab1ac88aa00a90"),
+    ("figure --D 1 --k-min 2 --k-max 8000000 --k-step 4000 --format json", 0,
+     "c5a8d4823abc8854bc28772ef2d39df78d5f76d1761c8e42111f20870a569d36"),
+    ("figure --D 1 --k-min 2 --k-max 8000000 --k-step 4000 --format csv", 0,
+     "0c47ee97955969ded288b8cec4a834ab1e12554b1f39518afe2ca7757448e68b"),
+    ("figure --D 1 --k-min 2 --k-max 8000000 --k-step 4000 --format pretty", 0,
+     "d70065af2f8f4e520c51e41b91e29d715805cd2505127d5183b2bdc4fc0c0ce5"),
+    ("figure --D 21 --k-min 8 --k-max 16000 --k-step 8 --format json", 0,
+     "b0678d9e15de5378bbf5af241c70fceef0640514dd69926fbe569df99121e6c9"),
+    ("figure --D 21 --k-min 8 --k-max 16000 --k-step 8 --format csv", 0,
+     "dcef9ca1222bef5f631bcef57374ff48db14e8d174e968cf231aa5d4f65c2b0f"),
+    ("figure --D 21 --k-min 8 --k-max 16000 --k-step 8 --format pretty", 0,
+     "d3e3350b3981bedd7b07cb727a53b42c3e9a6edd1929d2bce3cd7bba6aee539e"),
+    (f"predict --k {10**200} --D 12 --format json", 0,
+     "772b20c4571fc2244bfc437cf15967daf7851e4650ee36657dd307157cbb7180"),
+    (f"predict --k {10**200} --D 12 --format csv", 0,
+     "0f1fd9b586c722a24d7b543d8c62844186ab0f2b59b2823bc93e7c47ad95223b"),
+    (f"predict --k {10**200} --D 12 --format pretty", 0,
+     "f74b161123f95c18950adf61a4bf57305e3c7795831dac84eded756667d5b104"),
+    # the first weight passes 2k|z| > 1 on its first tracks and fails on a later r
+    ("figure --D 12 --k-min 4 --k-max 8 --k-step 2", 2, EMPTY),
+    ("figure --D 8 --k-min 2 --k-max 8 --k-step 2", 2, EMPTY),
 ]
 
 
@@ -104,6 +125,38 @@ def test_cli_stdout_is_byte_identical(capsys, argv, code, digest):
     assert main(argv.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_parser_serves_interleaved_calls(capsys, tmp_path):
+    # one process, one parser: no format, output path or tolerance leaks between calls
+    golden = {argv: (code, digest) for argv, code, digest in GOLDEN}
+    parser = _build_parser()
+    figure_json = "figure --D 4 --k-min 2000 --k-max 4000 --format json"
+    verify = "verify --D 4 --k-min 2400 --k-max 19200"
+    refused = "figure --D 12 --k-min 4 --k-max 8 --k-step 2"
+    out_path = tmp_path / "points.csv"
+    steps = [
+        (figure_json, figure_json),
+        ("zeros --k 240000 --m last-8", "zeros --k 240000 --m last-8 --format csv"),
+        ("figure --D 4 --k-min 2000 --k-max 4000 --format xml", None),
+        (verify, f"{verify} --format pretty"),
+        (f"{refused} --tol 1e-3 --out {out_path}", refused),
+        (figure_json, figure_json),
+    ]
+    for argv, key in steps:
+        if key is None:
+            with pytest.raises(SystemExit) as exc:
+                main(argv.split())
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+            continue
+        code = main(argv.split())
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == golden[key], argv
+    assert not out_path.exists()
+    assert _build_parser() is parser
+    args = parser.parse_args(["figure", "--D", "4", "--k-min", "2000", "--k-max", "4000"])
+    assert (args.format, args.out, args.tol, args.k_step) == ("csv", None, 1e-10, 1000)
 
 
 def record(argv: str) -> tuple[str, int, str]:
