@@ -273,37 +273,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         weight = decompose_weight(k)
         if weight.ell < d:
             raise DomainError(f"k = {k} has ell = {weight.ell} < D = {d}")
-        spec = miller_form_spec(k, weight.ell - d)
-        poly = faber_polynomial(spec)
-        devs = renormalized_coeffs(poly, k)
+        report = zero_report(miller_form_spec(k, weight.ell - d), tol=args.tol, strict=False)
+        devs = renormalized_coeffs(report.faber)
         for s in range(1, d + 1):
             coeff_rows[s].append(k * abs(devs[s]))
-        report = zero_report(spec, tol=args.tol, strict=False)
         for row in report.rows:
             zero_rows[row.r].append(None if row.status == OUT_OF_REGIME else row.k_times_err)
 
-    def bounded(seq) -> bool:
-        values = [v for v in seq if v is not None]
-        if not values:
-            return True
-        first = values[0]
-        limit = first * Fraction(3, 2) if isinstance(first, Fraction) else 1.5 * first
+    def bounded(values) -> bool:
+        limit = values[0] * Fraction(3, 2)
         return all(v <= limit for v in values)
 
-    table = []
-    all_bounded = True
-    for s in range(1, d + 1):
-        seq = coeff_rows[s]
-        ok = bounded(seq)
-        all_bounded &= ok
-        table.append((f"coeff_dev[s={s}]", [float(v) for v in seq], ok))
-    for r in range(1, d + 1):
-        seq = zero_rows[r]
-        if all(v is None for v in seq):
-            continue  # nothing computable on this grid
-        ok = bounded(seq)
-        all_bounded &= ok
-        table.append((f"zero_err[r={r}]", [OUT_OF_REGIME if v is None else v for v in seq], ok))
+    table = [
+        (f"coeff_dev[s={s}]", [float(v) for v in seq], bounded(seq)) for s, seq in coeff_rows.items()
+    ]
+    for r, seq in zero_rows.items():
+        values = [v for v in seq if v is not None]
+        if values:  # else nothing computable on this grid
+            shown = [OUT_OF_REGIME if v is None else v for v in seq]
+            table.append((f"zero_err[r={r}]", shown, bounded(values)))
+    all_bounded = all(ok for _, _, ok in table)
 
     if args.format == "json":
         payload = {

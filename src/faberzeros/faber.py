@@ -42,7 +42,7 @@ class FaberPoly:
 
     ``coeffs`` is descending, so coeffs[0] = x_0 = y(0) (1 for Miller
     input, making F monic).  Integral x_i are stored as Python ints and
-    the others as Fractions; both compare, hash and print alike.
+    the others as Fractions; both compare, hash and print alike.  D = ell - m is checked.
     """
 
     k: int
@@ -51,6 +51,9 @@ class FaberPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
+        ell = decompose_weight(self.k).ell
+        if self.degree != ell - self.m:
+            raise DomainError(f"degree {self.degree} != ell - m = {ell - self.m} (k={self.k})")
 
     @property
     def degree(self) -> int:
@@ -170,14 +173,10 @@ def closed_form_check(k: int, m: int) -> bool:
     return faber_polynomial(miller_form_spec(k, m)) == closed_form_poly(k, m)
 
 
-def renormalized_coeffs(f: FaberPoly, k: int) -> list[Fraction]:
-    """Relative deviations x_s * s! / (2k)^s - 1 from the truncated-exponential limit.
+def renormalized_coeffs(f: FaberPoly) -> list[Fraction]:
+    """Relative deviations x_s * s! / (2k)^s - 1 of F from the truncated-exponential limit.
 
-    Exact rationals; conversion to floating point is left to callers.
+    k is F's weight f.k.  Exact rationals; conversion to floating point is left to callers.
     """
-    if k <= 0:
-        raise DomainError(f"weight must be positive, got {k}")
-    out = []
-    for s, x in enumerate(f.coeffs):
-        out.append(x * factorial(s) / Fraction(2 * k) ** s - 1)
-    return out
+    scale = Fraction(2 * f.k)
+    return [x * factorial(s) / scale**s - 1 for s, x in enumerate(f.coeffs)]

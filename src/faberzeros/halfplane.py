@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError, NumericalError
-from .faber import faber_polynomial, horner
+from .faber import FaberPoly, faber_polynomial, horner
 from .modforms import ModularFormSpec
 from .qseries import j_series
 from .roots import _check_tolerance, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros
@@ -268,31 +268,44 @@ class ZeroReportRow:
 
 @dataclass(frozen=True, slots=True)
 class ZeroReport:
-    k: int
-    m: int
-    degree: int
+    """The Faber polynomial F of a form and one row per root; k, m and degree are F's."""
+
+    faber: FaberPoly
     rows: tuple[ZeroReportRow, ...]
+
+    @property
+    def k(self) -> int:
+        return self.faber.k
+
+    @property
+    def m(self) -> int:
+        return self.faber.m
+
+    @property
+    def degree(self) -> int:
+        return self.faber.degree
 
 
 def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) -> ZeroReport:
     """The report pairing the actual zeros of f / E_{k'} with their predictions.
 
-    Faber roots are matched against the rescaled inverse zeros and pulled
-    back through j; each actual tau satisfies |F(j(tau))| <= tol * max |F coeff|.
-    Row errors are |tau_r - tau_hat_r| (seam-aware) with k * err alongside,
-    plus the t-scale displacement |t_r - 2k z_{D,r}|.  With strict=True any
-    root outside the inversion regime (|t| < 2000) raises DomainError; with
-    strict=False such rows carry status OUT_OF_REGIME and no actual tau
-    (nothing is dropped).  Rows are indexed by the inverse zeros' sorted order.
+    F is solved once and kept as ``report.faber``.  Its roots are matched
+    against the rescaled inverse zeros and pulled back through j; each actual
+    tau satisfies |F(j(tau))| <= tol * max |F coeff|.  Row errors are
+    |tau_r - tau_hat_r| (seam-aware) with k * err alongside, plus the t-scale
+    displacement |t_r - 2k z_{D,r}|.  With strict=True any root outside the
+    inversion regime (|t| < 2000) raises DomainError; with strict=False such
+    rows carry status OUT_OF_REGIME and no actual tau (nothing is dropped).
+    Rows are indexed by the inverse zeros' sorted order.
     """
     _check_tolerance(tol)
     f = faber_polynomial(spec)
     d = f.degree
-    k = spec.k
+    k = f.k
     if d == 0:
-        return ZeroReport(k=k, m=spec.m, degree=0, rows=())
+        return ZeroReport(faber=f, rows=())
 
-    scaled = scaled_faber_roots(f, k, tol=tol)
+    scaled = scaled_faber_roots(f, tol=tol)
     limits = truncated_exp_inverse_zeros(d, tol=tol)
     pairing = match_roots(scaled, limits)
     root_for_limit = {j: scaled.roots[i] for i, j in pairing.pairs}
@@ -335,4 +348,4 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
                 k_times_err=k * err, t_gap=t_gap,
             )
         )
-    return ZeroReport(k=k, m=spec.m, degree=d, rows=tuple(rows))
+    return ZeroReport(faber=f, rows=tuple(rows))

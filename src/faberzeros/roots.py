@@ -203,8 +203,8 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     """
     t_roots = find_roots(truncated_exp_poly(d), tol=tol)
     inv = sorted((1.0 / t for t in t_roots.roots), key=_sort_key)
-    g = ComplexPoly.from_coefficients([1.0 / math.factorial(r) for r in range(d + 1)])
-    residual = max(abs(horner(g.coeffs, z)) for z in inv)
+    g = [1.0 / math.factorial(r) for r in range(d + 1)]
+    residual = max(abs(horner(g, z)) for z in inv)
     if not residual <= tol:  # also refuses a NaN residual
         raise NumericalError(f"inverse-zero residual {residual:.3e} exceeds {tol:.1e}", best=tuple(inv))
     return RootSet(roots=tuple(inv), residual=residual)
@@ -292,18 +292,16 @@ def match_roots(a, b) -> Pairing:
     return Pairing(pairs=tuple(pairs), max_distance=threshold)
 
 
-def scaled_faber_roots(f: FaberPoly, k: int, tol: float = 1e-10) -> RootSet:
-    """The roots z of the rescaled g_k(z) = F(2k z)/(2k)^D, one find_roots solve.
+def scaled_faber_roots(f: FaberPoly, *, tol: float = 1e-10) -> RootSet:
+    """The roots z of the rescaled g_k(z) = F(2k z)/(2k)^D with k = f.k, one find_roots solve.
 
     The coefficients of g_k are computed exactly before the float
     rounding.  The roots of F itself are t = 2k z (same order); the
     residual is the finder's, measured on g_k.
     """
     _check_tolerance(tol)
-    if k <= 0:
-        raise DomainError(f"weight must be positive, got {k}")
     if f.degree == 0:
         return RootSet(roots=(), residual=0.0)
-    scale = Fraction(2 * k)
+    scale = Fraction(2 * f.k)
     g = ComplexPoly.from_coefficients(float(c / scale**s) for s, c in enumerate(f.coeffs))
     return find_roots(g, tol=tol)

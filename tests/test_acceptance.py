@@ -116,7 +116,7 @@ def test_criterion_4_coefficient_deviations():
         for d in (1, 2, 3, 4):
             for i, k in enumerate(grid):
                 spec = miller_form_spec(k, decompose_weight(k).ell - d)
-                devs = renormalized_coeffs(faber_polynomial(spec), k)
+                devs = renormalized_coeffs(faber_polynomial(spec))
                 for s in range(d + 1):
                     sequences.setdefault((d, s), []).append(k * abs(devs[s]))
         violations = []

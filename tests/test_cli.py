@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from faberzeros import cli, halfplane
 from faberzeros.cli import (
     EXIT_INVALID,
     EXIT_NUMERICAL,
@@ -335,6 +336,21 @@ def test_verify_d4_long_grid_reports_unbounded(capsys):
     code, out, _ = run(capsys, "verify", "--D", "4", "--k-min", "1200", "--k-max", "76800")
     assert code == EXIT_VERIFY_FAILED
     assert "UNBOUNDED" in out and "verification FAILED" in out
+
+
+def test_verify_solves_each_faber_polynomial_once(capsys, monkeypatch):
+    # the coefficient rows read the F that zero_report solved: one solve per grid weight
+    solved = []
+
+    def counting(spec, _solve=halfplane.faber_polynomial):
+        solved.append(spec.k)
+        return _solve(spec)
+
+    monkeypatch.setattr(halfplane, "faber_polynomial", counting)
+    monkeypatch.setattr(cli, "faber_polynomial", counting)
+    code, _, _ = run(capsys, "verify", "--D", "4", "--k-min", "2400", "--k-max", "19200")
+    assert code == EXIT_OK
+    assert solved == [2400, 4800, 9600, 19200]
 
 
 def test_verify_rejects_large_degree(capsys):

@@ -77,6 +77,10 @@ GOLDEN = [
     ("verify --D 8 --k-min 2400 --k-max 614400", 3, EMPTY),
     ("verify --D 8 --k-min 1316 --k-max 25000000", 1,
      "35d18022d5ee7da40e1565ac204d5a7089337c7a78ba76195e93a34d15eaf45b"),
+    ("verify --D 8 --k-min 1316 --k-max 25000000 --format json", 1,
+     "254df908af397e0cbe494cb3578d7d56e2eced2e99cccb09a6255229026db9d3"),
+    ("verify --D 8 --k-min 1316 --k-max 25000000 --format csv", 1,
+     "a2a1228132a45df7cf8b6b5d622e4413f7a8b8035cfa0c3bb9cafc685983f2c7"),
     ("exp-zeros --D 21", 0, "11b3d1a09e5da3ec7d1a96c1c9c968853c062eaf1fe2ce6525f4f69e03cbb62e"),
     ("exp-zeros --D 22", 3, EMPTY),
     ("exp-zeros --D 171", 2, EMPTY),

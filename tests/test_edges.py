@@ -186,7 +186,7 @@ TOLERANCE_ENTRY_POINTS = {
     # D = 0 returns before any root is found, but the tolerance is still checked
     "zero_report[D=0]": lambda tol: zero_report(miller_form_spec(24, 2), tol=tol),
     "scaled_faber_roots[D=0]": lambda tol: scaled_faber_roots(
-        faber_polynomial(miller_form_spec(24, 2)), 24, tol=tol
+        faber_polynomial(miller_form_spec(24, 2)), tol=tol
     ),
 }
 

@@ -137,7 +137,7 @@ def test_faber_coefficients_are_ints_when_integral():
     # rescaling divides by the Fraction 2k, so ints stay exact
     exact = [Fraction(c) / Fraction(480) ** s for s, c in enumerate(poly.coeffs)]
     rounded = ComplexPoly.from_coefficients([float(c) for c in exact])
-    assert scaled_faber_roots(poly, 240) == find_roots(rounded)
+    assert scaled_faber_roots(poly) == find_roots(rounded)
 
     custom = faber_polynomial(custom_form_spec(48, 1, [Fraction(1, 3), 2, 0]))
     assert any(type(c) is Fraction for c in custom.coeffs)
@@ -190,24 +190,33 @@ def test_closed_form_sweep_small():
             assert closed_form_check(k, ell - 3)
 
 
+def test_faber_poly_refuses_a_degree_that_is_not_ell_minus_m():
+    # k = 24 has ell = 2, so m = 0 needs three coefficients
+    with pytest.raises(DomainError, match="ell - m"):
+        FaberPoly(k=24, m=0, coeffs=(1, 2))
+    with pytest.raises(DomainError):
+        FaberPoly(k=2, m=0, coeffs=(1,))  # weight 2 has no decomposition
+    assert FaberPoly(k=24, m=1, coeffs=(1, 2)).degree == 1
+
+
 # --- renormalized coefficients -------------------------------------------------------
 
 
 def test_renormalized_leading_deviation_is_zero():
     poly = faber_polynomial(miller_form_spec(36, 0))
-    assert renormalized_coeffs(poly, 36)[0] == 0
+    assert renormalized_coeffs(poly)[0] == 0
 
 
 def test_renormalized_miller_24_1():
     poly = faber_polynomial(miller_form_spec(24, 1))
-    devs = renormalized_coeffs(poly, 24)
+    devs = renormalized_coeffs(poly)
     assert devs[1] == Fraction(-696, 48) - 1 == Fraction(-31, 2)
 
 
 def test_renormalized_large_weight_closed_form():
     k = 12000
     spec = miller_form_spec(k, decompose_weight(k).ell - 1)
-    devs = renormalized_coeffs(faber_polynomial(spec), k)
+    devs = renormalized_coeffs(faber_polynomial(spec))
     assert abs(devs[1]) == Fraction(744, 2 * k) == Fraction(31, 1000)
 
 
@@ -342,7 +351,7 @@ def test_asymptotic_deviations_monotone_bounded():
         for i in range(7):
             k = 1200 * 2**i
             spec = miller_form_spec(k, decompose_weight(k).ell - d)
-            devs = renormalized_coeffs(faber_polynomial(spec), k)
+            devs = renormalized_coeffs(faber_polynomial(spec))
             for s in range(1, d + 1):
                 sequences[s].append(k * abs(devs[s]))
         for s, seq in sequences.items():

@@ -10,6 +10,7 @@ import mpmath
 import pytest
 
 from faberzeros.errors import DomainError
+from faberzeros.faber import faber_polynomial
 from faberzeros.halfplane import (
     MAX_J_MODULUS,
     OUT_OF_REGIME,
@@ -263,6 +264,15 @@ def test_verify_predictions_degree_zero_empty_report():
     assert report.degree == 0 and report.rows == ()
 
 
+@pytest.mark.parametrize("k, m", [(48, 4), (24, 0), (12000, 999)], ids=["D=0", "D=2", "D=1"])
+def test_zero_report_keeps_the_faber_polynomial_it_solved(k, m):
+    spec = miller_form_spec(k, m)
+    report = zero_report(spec, strict=False)
+    assert report.faber == faber_polynomial(spec)
+    assert (report.k, report.m, report.degree) == (spec.k, spec.m, spec.degree)
+    assert [f.name for f in dataclasses.fields(report)] == ["faber", "rows"]
+
+
 def test_nontrivial_zeros_penultimate_large_weight():
     k = 12000
     spec = miller_form_spec(k, decompose_weight(k).ell - 1)
@@ -430,7 +440,7 @@ def test_report_dataclasses_are_slotted_and_frozen():
         r=1, t=-23256 + 0j, tau=point, tau_hat=point, abs_err=0.0, k_times_err=0.0, t_gap=0.0
     )
     evaluation = JEvaluation(value=744 + 0j, tail_bound=0.0)
-    report = ZeroReport(k=24, m=0, degree=1, rows=(row,))
+    report = ZeroReport(faber=faber_polynomial(miller_form_spec(24, 1)), rows=(row,))
     for obj in (point, evaluation, row, report):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         field = dataclasses.fields(obj)[0].name

@@ -334,7 +334,7 @@ def test_match_roots_cardinality_mismatch():
 
 
 def test_scaled_roots_small_weight():
-    sfr = scaled_faber_roots(faber_polynomial(miller_form_spec(24, 1)), 24)
+    sfr = scaled_faber_roots(faber_polynomial(miller_form_spec(24, 1)))
     assert abs(2 * 24 * sfr.roots[0] - 696) < 1e-9
     assert abs(sfr.roots[0] - 14.5) < 1e-12
 
@@ -342,7 +342,7 @@ def test_scaled_roots_small_weight():
 def test_scaled_roots_large_weight_closed_form():
     k = 12000
     spec = miller_form_spec(k, decompose_weight(k).ell - 1)
-    sfr = scaled_faber_roots(faber_polynomial(spec), k)
+    sfr = scaled_faber_roots(faber_polynomial(spec))
     assert abs(2 * k * sfr.roots[0] - (-(2 * k - 744))) < 1e-6
     assert abs(sfr.roots[0] - (-1 + 744 / (2 * k))) < 1e-12
     assert abs(abs(sfr.roots[0] - (-1)) - 0.031) < 1e-12
@@ -353,7 +353,7 @@ def test_scaled_roots_gap_not_growing():
     vals = []
     for k in (12000, 24000):
         spec = miller_form_spec(k, decompose_weight(k).ell - 2)
-        sfr = scaled_faber_roots(faber_polynomial(spec), k)
+        sfr = scaled_faber_roots(faber_polynomial(spec))
         limits = truncated_exp_inverse_zeros(2)
         gap = max(
             abs(2 * k * z_root - 2 * k * z)
@@ -364,8 +364,15 @@ def test_scaled_roots_gap_not_growing():
     assert vals[1] <= vals[0] * 1.01
 
 
+def test_scaled_roots_read_the_weight_from_the_polynomial():
+    f = faber_polynomial(miller_form_spec(24, 1))
+    with pytest.raises(TypeError):
+        scaled_faber_roots(f, 24)  # tol is keyword-only; k is f.k
+    assert scaled_faber_roots(f, tol=1e-10) == scaled_faber_roots(f)
+
+
 def test_scaled_roots_degree_zero():
-    sfr = scaled_faber_roots(faber_polynomial(miller_form_spec(24, 2)), 24)
+    sfr = scaled_faber_roots(faber_polynomial(miller_form_spec(24, 2)))
     assert sfr.roots == ()
 
 
