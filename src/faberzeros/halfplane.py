@@ -50,16 +50,23 @@ def _j_coefficients(count: int) -> tuple[float, ...]:
     return tuple(float(c) for c in j_series(count - 1).coeffs)
 
 
+def _upper_half_plane(tau) -> complex:
+    """tau as a complex number with a finite real part and 0 < Im(tau) < inf."""
+    tau = complex(tau)
+    if not (math.isfinite(tau.real) and 0 < tau.imag < math.inf):
+        raise DomainError(f"point must lie in the upper half-plane, got {tau}")
+    return tau
+
+
 @dataclass(frozen=True, slots=True)
 class HalfPlanePoint:
-    """A point tau with Im(tau) > 0; ``in_fundamental_domain(p.tau)`` tells
-    whether it is reduced."""
+    """A point tau with finite Re(tau) and 0 < Im(tau) < inf;
+    ``in_fundamental_domain(p.tau)`` tells whether it is reduced."""
 
     tau: complex
 
     def __post_init__(self):
-        if not self.tau.imag > 0:
-            raise DomainError(f"point must lie in the upper half-plane, got {self.tau}")
+        _upper_half_plane(self.tau)
 
 
 def in_fundamental_domain(tau: complex) -> bool:
@@ -101,7 +108,7 @@ def evaluate_j(tau, terms: int = 32) -> JEvaluation:
     """
     if isinstance(tau, HalfPlanePoint):
         tau = tau.tau
-    tau = complex(tau)
+    tau = _upper_half_plane(tau)
     if tau.imag < MIN_IM_FOR_SERIES:
         raise DomainError(
             f"evaluate_j requires Im(tau) >= {MIN_IM_FOR_SERIES}, got {tau.imag}; reduce first"
@@ -183,10 +190,8 @@ def reduce_to_fundamental_domain(tau: complex) -> HalfPlanePoint:
     """
     if isinstance(tau, HalfPlanePoint):
         tau = tau.tau
-    tau = complex(tau)
+    tau = _upper_half_plane(tau)
     x, y = tau.real, tau.imag
-    if y <= 0:
-        raise DomainError(f"point must lie in the upper half-plane, got {tau}")
     for _ in range(500):
         x -= math.floor(x + 0.5)
         r2 = x * x + y * y

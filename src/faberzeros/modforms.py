@@ -6,7 +6,9 @@ ever consumes the leading unit coefficients y(0..D) of
 f = q^m * (y(0) + y(1) q + ... ), D = ell - m, so Miller basis elements
 need no series computation at all: their window is (1, 0, ..., 0) by the
 defining gap condition.  The full basis construction below exists as an
-exact cross-check oracle and as a generator of genuine q-expansions.
+exact cross-check oracle and as a generator of genuine q-expansions: it
+spans M_k by Delta^i * E_{k'} * E_4^{3(ell-i)}, i = 0..ell, and reaches
+the echelon form by one exact back-substitution.
 """
 
 from __future__ import annotations
@@ -123,22 +125,15 @@ def custom_form_spec(k: int, m: int, a) -> ModularFormSpec:
     return ModularFormSpec(weight=decompose_weight(k), m=m, unit_coeffs=chain((1,), a))
 
 
-def _monomial_exponents(weight: int) -> tuple[int, int]:
-    """Exponents (a, b) with 4a + 6b = weight, b in {0, 1}; weight even >= 0, != 2."""
-    b = 0 if weight % 4 == 0 else 1
-    a = (weight - 6 * b) // 4
-    if a < 0:
-        raise DomainError(f"no E_4^a E_6^b monomial of weight {weight}")
-    return a, b
-
-
 def miller_basis_series(k: int, order: int) -> list[TruncatedSeries]:
     """The Miller basis of M_k as exact q-expansions modulo q^order.
 
-    Element i equals q^i + O(q^{ell+1}).  The space is spanned by
-    Delta^j * E_4^{a_j} * E_6^{b_j} (4a_j + 6b_j = k - 12j, b_j in {0,1}),
-    then brought to echelon form on the coefficients of q^0..q^ell by
-    exact Gauss-Jordan elimination.  Requires order >= ell + 1.
+    Element i equals q^i + O(q^{ell+1}).  Every form of weight k is
+    Delta^ell * E_{k'} * F(j) with deg F <= ell, so M_k is spanned by
+    Delta^ell * E_{k'} * j^{ell-i} = E_{k'} * E_4^{3 ell} * (Delta/E_4^3)^i,
+    i = 0..ell; element i has valuation i and leading coefficient 1.  One
+    back-substitution clears the coefficients of q^{i+1}..q^ell.  Requires
+    order >= ell + 1.
     """
     weight = decompose_weight(k)
     ell = weight.ell
@@ -146,31 +141,16 @@ def miller_basis_series(k: int, order: int) -> list[TruncatedSeries]:
         raise DomainError(f"order must be >= ell+1 = {ell + 1}, got {order}")
 
     e4 = eisenstein_series(4, order)
-    e6 = eisenstein_series(6, order)
-    delta = delta_series(order) if ell >= 1 else None
+    basis = [eisenstein_series(weight.k_prime, order) * e4 ** (3 * ell)]
+    if ell >= 1:
+        step = delta_series(order) * e4**-3  # Delta / E_4^3 = 1/j, valuation 1
+        for _ in range(ell):
+            basis.append((basis[-1] * step).truncate(order))
 
-    span = []
-    delta_pow = TruncatedSeries.one(order)
-    for j in range(ell + 1):
-        a, b = _monomial_exponents(k - 12 * j)
-        g = delta_pow
-        if a:
-            g = g * e4**a
-        if b:
-            g = g * e6**b
-        span.append(g.truncate(order))
-        if j < ell:
-            delta_pow = (delta_pow * delta).truncate(order)
-
-    # span[j] has valuation j with leading coefficient 1; eliminate the
-    # coefficients of q^i (i != j) to reach the echelon form.
-    basis = list(span)
-    for j in range(ell + 1):
-        pivot = basis[j].scale(Fraction(1) / basis[j].coeff(j))
-        basis[j] = pivot
-        for i in range(ell + 1):
-            if i != j:
-                c = basis[i].coeff(j)
-                if c != 0:
-                    basis[i] = basis[i] - pivot.scale(c)
+    # going down from j = ell, basis[j] is already clear at q^{j+1}..q^ell
+    for j in range(ell, 0, -1):
+        for i in range(j):
+            c = basis[i].coeff(j)
+            if c != 0:
+                basis[i] = basis[i] - basis[j].scale(c)
     return basis

@@ -71,6 +71,25 @@ GOLDEN = [
      "926bf59423d4db02443baa174a78042424dac988380411fcef97745c09b03cc8"),
     ("basis --k 48 --format pretty", 0,
      "77311be58c2f72ce6bcd29d1b715269dce344a050da671ec329cf9eff1797f5a"),
+    # one weight per k' class (k' = 14, 14, 4, 6, 8, 10, 0), ell = 0 at k = 14
+    ("basis --k 14 --format json", 0,
+     "06dc862995a59a435bb778a055ce316e841e7ba4b94dfdbb6270c66e5784ed41"),
+    ("basis --k 122 --format json", 0,
+     "68583e76336ac82ed6730c1d031edbc96be3de8aa5e9d2f256c123a2004e38d2"),
+    ("basis --k 124 --format json", 0,
+     "30f9a52dc53d83e8cf029a9a174e03575ba0aebadc2c456c4903902fde9b092b"),
+    ("basis --k 126 --format json", 0,
+     "0f19782945928bdac8f6b402cdab2b0cc49c24b3546e1e4fb5c10e94847e1930"),
+    ("basis --k 128 --format json", 0,
+     "82daf8736828ebc3bf3aa88a2ad07d9e9f16f313bda92de1172e7321ad4b5b33"),
+    ("basis --k 130 --format json", 0,
+     "ebeb9a77e221fcce7d8cc997be420c99f4337b7fad57005055e2c28e48657563"),
+    ("basis --k 240 --format json", 0,
+     "accac321c43b975577e2a8b216432db104ee8ecf6856d81dd8dc135729fbb047"),
+    ("basis --k 240 --format csv", 0,
+     "f90c3f166a296a2978b01c3cc840698ff69ba0dd2a5dcf5e44c351a54cbd551c"),
+    ("basis --k 240 --format pretty", 0,
+     "6215183e86dfcd966d02dc87353c3f649b86cc7b8f1f572df1f7363076a42bf4"),
     ("zeros --k 240000 --m last-21", 0,
      "bb22b15559003258dc067596236034aea6b7f93cb8d3d5a763d81847ba95533b"),
     ("zeros --k 24 --m 0", 0, "674e92bb1806bc2dde8eedbc1595ad91de1c9b2f632e9abc8f4d7903b6f71497"),

@@ -184,6 +184,34 @@ def test_reduce_rejects_lower_half_plane():
         reduce_to_fundamental_domain(1 - 1j)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reduce_to_fundamental_domain(complex(math.nan, 1)),
+        lambda: reduce_to_fundamental_domain(complex(math.inf, 1)),
+        lambda: reduce_to_fundamental_domain(complex(0, math.inf)),
+        lambda: evaluate_j(complex(math.nan, 1)),
+        lambda: evaluate_j(complex(0, math.nan)),
+        lambda: evaluate_j(complex(0, math.inf)),
+        lambda: predicted_zero(240000, math.inf),
+        lambda: HalfPlanePoint(tau=complex(0, math.inf)),
+    ],
+    ids=[
+        "reduce-nan-re",
+        "reduce-inf-re",
+        "reduce-inf-im",
+        "evaluate_j-nan-re",
+        "evaluate_j-nan-im",
+        "evaluate_j-inf-im",
+        "predicted_zero-inf-z",
+        "HalfPlanePoint-inf-im",
+    ],
+)
+def test_non_finite_tau_is_refused(call):
+    with pytest.raises(DomainError, match="must lie in the upper half-plane"):
+        call()
+
+
 # --- predicted zeros ------------------------------------------------------------------
 
 

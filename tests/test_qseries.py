@@ -293,6 +293,15 @@ def test_eisenstein_zero_weight_is_one():
     assert eisenstein_series(0, 5) == S.one(5)
 
 
+def test_eisenstein_identities():
+    n = 40
+    e4, e6 = eisenstein_series(4, n), eisenstein_series(6, n)
+    assert eisenstein_series(8, n) == e4 * e4
+    assert eisenstein_series(10, n) == e4 * e6
+    assert eisenstein_series(14, n) == e4 * e4 * e6
+    assert e4**3 - e6 * e6 == delta_series(n).scale(1728)
+
+
 # --- delta ---------------------------------------------------------------------
 
 
