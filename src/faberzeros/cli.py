@@ -141,10 +141,14 @@ def _miller_spec(args: argparse.Namespace):
     return miller_form_spec(args.k, _resolve_m(args.m, decompose_weight(args.k).ell))
 
 
+def _faber_json(poly) -> dict:
+    return {"k": poly.k, "m": poly.m, "D": poly.degree, "coeffs_desc": [str(c) for c in poly.coeffs]}
+
+
 def cmd_faber(args: argparse.Namespace) -> int:
     poly = faber_polynomial(_miller_spec(args))
     if args.format == "json":
-        _emit(_json_text(poly.to_json_dict()) + "\n", args)
+        _emit(_json_text(_faber_json(poly)) + "\n", args)
     elif args.format == "csv":
         rows = [(poly.k, poly.m, poly.degree, s, str(c)) for s, c in enumerate(poly.coeffs)]
         _emit(_csv_text(("k", "m", "D", "s", "x_s"), rows), args)
@@ -188,10 +192,14 @@ def cmd_zeros(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _roots_json(roots) -> dict:
+    return {"roots": [{"re": z.real, "im": z.imag} for z in roots.roots], "residual": roots.residual}
+
+
 def cmd_exp_zeros(args: argparse.Namespace) -> int:
     roots = truncated_exp_inverse_zeros(args.degree, tol=args.tol)
     if args.format == "json":
-        _emit(_json_text(roots.to_json_dict()) + "\n", args)
+        _emit(_json_text(_roots_json(roots)) + "\n", args)
     elif args.format == "csv":
         rows = [(args.degree, r + 1, z.real, z.imag) for r, z in enumerate(roots.roots)]
         _emit(_csv_text(("D", "r", "re", "im"), rows), args)
@@ -321,6 +329,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_bounded else EXIT_VERIFY_FAILED
 
 
+def _series_json(series) -> dict:
+    coeffs = [str(c) for c in series.coeffs]
+    return {"valuation": series.valuation, "order": series.order, "coeffs": coeffs}
+
+
 def cmd_basis(args: argparse.Namespace) -> int:
     weight = decompose_weight(args.k)
     order = weight.ell + 5  # enough trailing terms to show genuine coefficients
@@ -329,7 +342,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         payload = {
             "k": args.k,
             "order": order,
-            "basis": [series.to_json_dict() for series in basis],
+            "basis": [_series_json(series) for series in basis],
         }
         _emit(_json_text(payload) + "\n", args)
     elif args.format == "csv":

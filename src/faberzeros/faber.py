@@ -13,16 +13,14 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DomainError
-from .modforms import ModularFormSpec, decompose_weight, miller_form_spec
-from .qseries import TruncatedSeries, _convolve, _exact, eisenstein_series, euler_phi, gamma_k, j_series
+from .modforms import ModularFormSpec, decompose_weight
+from .qseries import TruncatedSeries, _convolve, _exact, eisenstein_series, euler_phi, j_series
 
 __all__ = [
     "FaberPoly",
     "j_power_table",
     "principal_part",
     "faber_polynomial",
-    "closed_form_poly",
-    "closed_form_check",
     "renormalized_coeffs",
     "horner",
 ]
@@ -58,22 +56,6 @@ class FaberPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def evaluate_series(self, s: TruncatedSeries) -> TruncatedSeries:
-        """Horner evaluation at a series argument (used to verify f = Delta^ell E_k' F(j))."""
-        big = s.order + (self.degree + 1) * max(1, -min(s.valuation, 0)) + 1
-        acc = TruncatedSeries.one(big).scale(self.coeffs[0])
-        for c in self.coeffs[1:]:
-            acc = (acc * s).plus_constant(c)
-        return acc
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "D": self.degree,
-            "coeffs_desc": [str(c) for c in self.coeffs],
-        }
 
     def __str__(self):
         d = self.degree
@@ -143,34 +125,6 @@ def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:
     for s in range(d, -1, -1):
         x[d - s] = a[d - s] - sum(table[r][s] * x[d - r] for r in range(s + 1, d + 1))
     return FaberPoly(k=spec.k, m=spec.m, coeffs=tuple(x))
-
-
-def closed_form_poly(k: int, m: int) -> FaberPoly:
-    """The closed forms of F_{k,m} for k = 12*ell and m in {ell-1, ell-2, ell-3}."""
-    weight = decompose_weight(k)
-    if weight.k_prime != 0:
-        raise DomainError(f"closed forms require k divisible by 12, got {k}")
-    ell = weight.ell
-    d = ell - m
-    if m < 0 or d not in (1, 2, 3):
-        raise DomainError(f"no closed form for k={k}, m={m} (need m in {{ell-1, ell-2, ell-3}})")
-    if d == 1:
-        coeffs = (1, 2 * k + gamma_k(0) - 744)
-    elif d == 2:
-        coeffs = (1, 24 * (ell - 62), 36 * (8 * ell**2 - 495 * ell + 4438))
-    else:
-        coeffs = (
-            1,
-            24 * (ell - 93),
-            36 * (8 * ell**2 - 991 * ell + 29721),
-            32 * (72 * ell**3 - 6669 * ell**2 + 118990 * ell - 1152093),
-        )
-    return FaberPoly(k=k, m=m, coeffs=coeffs)
-
-
-def closed_form_check(k: int, m: int) -> bool:
-    """True iff the system-solved F_{k,m} equals the closed form exactly."""
-    return faber_polynomial(miller_form_spec(k, m)) == closed_form_poly(k, m)
 
 
 def renormalized_coeffs(f: FaberPoly) -> list[Fraction]:

@@ -19,7 +19,7 @@ from .errors import DomainError, NumericalError
 from .faber import FaberPoly, faber_polynomial, horner
 from .modforms import ModularFormSpec
 from .qseries import j_series
-from .roots import _check_tolerance, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros
+from .roots import _check_tolerance, _phase, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros
 
 __all__ = [
     "MIN_J_MODULUS",
@@ -72,7 +72,7 @@ class HalfPlanePoint:
 def in_fundamental_domain(tau: complex) -> bool:
     """The three membership predicates, with a small tolerance on the circle."""
     x, y = tau.real, tau.imag
-    if y <= 0 or not (-0.5 <= x < 0.5):
+    if not (0 < y < math.inf and -0.5 <= x < 0.5):  # false for a NaN height too
         return False
     r2 = x * x + y * y
     if r2 < 1.0 - _BOUNDARY_EPS:
@@ -175,11 +175,8 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     if residual > target:
         raise NumericalError(f"Newton residual {residual:.3e} exceeds {target:.3e}", best=q)
 
-    x = cmath.phase(q) / (2 * math.pi)
-    if x >= 0.5:
-        x -= 1.0
     y = -math.log(abs(q)) / (2 * math.pi)
-    return HalfPlanePoint(tau=complex(x, y))
+    return HalfPlanePoint(tau=complex(_line(cmath.phase(q)), y))
 
 
 def reduce_to_fundamental_domain(tau: complex) -> HalfPlanePoint:
@@ -208,19 +205,19 @@ def reduce_to_fundamental_domain(tau: complex) -> HalfPlanePoint:
     return HalfPlanePoint(tau=complex(x, y))
 
 
+def _line(angle: float) -> float:
+    """Re(tau) = angle/(2 pi) of a nome q = e^(2 pi i tau) with arg q = angle, in [-1/2, 1/2)."""
+    x = angle / (2 * math.pi)
+    return x - 1.0 if x >= 0.5 else x
+
+
 def _prediction_line(z: complex) -> tuple[float, float]:
     """The line Re = -arg(z)/(2 pi) of z's predictions, normalized into
     [-1/2, 1/2) with arg(z) in [-pi, pi), and |z|."""
     z = complex(z)
     if z == 0:
         raise DomainError("z must be nonzero")
-    theta = cmath.phase(z)
-    if theta >= math.pi:
-        theta = -math.pi
-    x = -theta / (2 * math.pi)
-    if x >= 0.5:
-        x -= 1.0
-    return x, abs(z)
+    return _line(-_phase(z)), abs(z)
 
 
 def _prediction_height(k: int, z_abs: float) -> float:
@@ -312,7 +309,7 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
 
     scaled = scaled_faber_roots(f, tol=tol)
     limits = truncated_exp_inverse_zeros(d, tol=tol)
-    pairing = match_roots(scaled, limits)
+    pairing = match_roots(scaled.roots, limits.roots)
     root_for_limit = {j: scaled.roots[i] for i, j in pairing.pairs}
 
     try:

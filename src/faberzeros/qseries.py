@@ -272,13 +272,6 @@ class TruncatedSeries:
     def __hash__(self):
         return hash((self.valuation, self.order, self.coeffs))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "valuation": self.valuation,
-            "order": self.order,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
     def __repr__(self):
         return f"TruncatedSeries(valuation={self.valuation}, coeffs={self.coeffs}, order={self.order})"
 

@@ -27,7 +27,6 @@ __all__ = [
     "find_roots",
     "truncated_exp_poly",
     "truncated_exp_inverse_zeros",
-    "ostrowski_bound",
     "match_roots",
     "scaled_faber_roots",
 ]
@@ -43,12 +42,15 @@ def _check_tolerance(tol: float) -> None:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
+def _phase(z: complex) -> float:
+    """The argument of z in [-pi, pi)."""
+    ph = cmath.phase(z)
+    return -math.pi if ph >= math.pi else ph
+
+
 def _sort_key(z: complex):
     """Sort by argument in [-pi, pi), ties by modulus."""
-    ph = cmath.phase(z)
-    if ph >= math.pi:
-        ph = -math.pi
-    return (ph, abs(z))
+    return (_phase(z), abs(z))
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,6 @@ class ComplexPoly:
         lead = cs[0]
         return cls(coeffs=(1 + 0j,) + tuple(c / lead for c in cs[1:]))
 
-    @classmethod
-    def from_faber(cls, f: FaberPoly) -> "ComplexPoly":
-        """Round the exact coefficients to nearest doubles (relative error <= 2^-53 each)."""
-        return cls.from_coefficients([float(c) for c in f.coeffs])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -99,15 +96,6 @@ class RootSet:
 
     roots: tuple[complex, ...]
     residual: float
-
-    def __len__(self):
-        return len(self.roots)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "roots": [{"re": z.real, "im": z.imag} for z in self.roots],
-            "residual": self.residual,
-        }
 
 
 def _horner_pair(coeffs, z):
@@ -210,28 +198,6 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     return RootSet(roots=tuple(inv), residual=residual)
 
 
-def ostrowski_bound(p: ComplexPoly, q: ComplexPoly) -> float:
-    """Ostrowski's displacement bound for the matched roots of two monic polynomials:
-
-        max_nu |x_nu - y_nu| <= 2D * (sum_nu |a_nu - b_nu| * Gamma^(D-nu))^(1/D),
-        Gamma = max_nu(|a_nu|^(1/nu), |b_nu|^(1/nu)).
-
-    Gamma is floored at 1 here (a conservative reading; it only matters
-    when every coefficient is below 1 in modulus, and it can only enlarge
-    the bound).
-    """
-    d = p.degree
-    if q.degree != d:
-        raise DomainError(f"degree mismatch: {d} vs {q.degree}")
-    gamma = 1.0
-    for nu in range(1, d + 1):
-        gamma = max(gamma, abs(p.coeffs[nu]) ** (1.0 / nu), abs(q.coeffs[nu]) ** (1.0 / nu))
-    total = sum(
-        abs(p.coeffs[nu] - q.coeffs[nu]) * gamma ** (d - nu) for nu in range(1, d + 1)
-    )
-    return 2.0 * d * total ** (1.0 / d)
-
-
 @dataclass(frozen=True)
 class Pairing:
     """A bijection between two root lists: pairs of (index in a, index in b)."""
@@ -240,24 +206,19 @@ class Pairing:
     max_distance: float
 
 
-def _roots_of(obj):
-    return tuple(obj.roots) if isinstance(obj, RootSet) else tuple(complex(z) for z in obj)
-
-
 def match_roots(a, b) -> Pairing:
-    """The bijection minimizing the maximum pairwise distance (bottleneck assignment).
+    """The bijection between two root sequences minimizing the maximum
+    pairwise distance (bottleneck assignment).
 
     Solved exactly: binary search over the candidate distances with a
     bipartite perfect-matching feasibility test at each threshold.
     """
-    xs = _roots_of(a)
-    ys = _roots_of(b)
-    n = len(xs)
-    if len(ys) != n:
-        raise DomainError(f"cardinality mismatch: {n} vs {len(ys)}")
+    n = len(a)
+    if len(b) != n:
+        raise DomainError(f"cardinality mismatch: {n} vs {len(b)}")
     if n == 0:
         return Pairing(pairs=(), max_distance=0.0)
-    dist = [[abs(x - y) for y in ys] for x in xs]
+    dist = [[abs(x - y) for y in b] for x in a]
     levels = sorted({d for row in dist for d in row})
 
     def matching_at(threshold):

@@ -1,0 +1,88 @@
+"""Independent oracles the test suite compares the pipeline against.
+
+The faberzeros pipeline never calls anything here: these are the
+closed-form Faber polynomials for D <= 3, Ostrowski's root displacement
+bound, the companion-matrix eigenvalues of a monic polynomial, and
+Horner evaluation of F at a q-series argument (used to rebuild
+f = Delta^ell E_{k'} F(j) exactly).
+"""
+
+import mpmath
+
+from faberzeros.errors import DomainError
+from faberzeros.faber import FaberPoly, faber_polynomial
+from faberzeros.modforms import decompose_weight, miller_form_spec
+from faberzeros.qseries import TruncatedSeries, gamma_k
+from faberzeros.roots import ComplexPoly
+
+
+def closed_form_poly(k: int, m: int) -> FaberPoly:
+    """The closed forms of F_{k,m} for k = 12*ell and m in {ell-1, ell-2, ell-3}."""
+    weight = decompose_weight(k)
+    if weight.k_prime != 0:
+        raise DomainError(f"closed forms require k divisible by 12, got {k}")
+    ell = weight.ell
+    d = ell - m
+    if m < 0 or d not in (1, 2, 3):
+        raise DomainError(f"no closed form for k={k}, m={m} (need m in {{ell-1, ell-2, ell-3}})")
+    if d == 1:
+        coeffs = (1, 2 * k + gamma_k(0) - 744)
+    elif d == 2:
+        coeffs = (1, 24 * (ell - 62), 36 * (8 * ell**2 - 495 * ell + 4438))
+    else:
+        coeffs = (
+            1,
+            24 * (ell - 93),
+            36 * (8 * ell**2 - 991 * ell + 29721),
+            32 * (72 * ell**3 - 6669 * ell**2 + 118990 * ell - 1152093),
+        )
+    return FaberPoly(k=k, m=m, coeffs=coeffs)
+
+
+def closed_form_check(k: int, m: int) -> bool:
+    """True iff the system-solved F_{k,m} equals the closed form exactly."""
+    return faber_polynomial(miller_form_spec(k, m)) == closed_form_poly(k, m)
+
+
+def ostrowski_bound(p: ComplexPoly, q: ComplexPoly) -> float:
+    """Ostrowski's displacement bound for the matched roots of two monic polynomials:
+
+        max_nu |x_nu - y_nu| <= 2D * (sum_nu |a_nu - b_nu| * Gamma^(D-nu))^(1/D),
+        Gamma = max_nu(|a_nu|^(1/nu), |b_nu|^(1/nu)).
+
+    Gamma is floored at 1 here (a conservative reading; it only matters
+    when every coefficient is below 1 in modulus, and it can only enlarge
+    the bound).
+    """
+    d = p.degree
+    if q.degree != d:
+        raise DomainError(f"degree mismatch: {d} vs {q.degree}")
+    gamma = 1.0
+    for nu in range(1, d + 1):
+        gamma = max(gamma, abs(p.coeffs[nu]) ** (1.0 / nu), abs(q.coeffs[nu]) ** (1.0 / nu))
+    total = sum(
+        abs(p.coeffs[nu] - q.coeffs[nu]) * gamma ** (d - nu) for nu in range(1, d + 1)
+    )
+    return 2.0 * d * total ** (1.0 / d)
+
+
+def companion_roots(coeffs) -> list[complex]:
+    """The roots of the monic polynomial with descending ``coeffs``, as the
+    eigenvalues of its companion matrix, computed by mpmath at 30 digits."""
+    d = len(coeffs) - 1
+    with mpmath.workdps(30):
+        companion = mpmath.zeros(d, d)
+        for j in range(d):
+            companion[0, j] = -mpmath.mpc(coeffs[j + 1])
+        for i in range(1, d):
+            companion[i, i - 1] = 1
+        return [complex(z) for z in mpmath.eig(companion, left=False, right=False)]
+
+
+def evaluate_series(poly: FaberPoly, s: TruncatedSeries) -> TruncatedSeries:
+    """F(s) by Horner's rule at a series argument (used to verify f = Delta^ell E_k' F(j))."""
+    big = s.order + (poly.degree + 1) * max(1, -min(s.valuation, 0)) + 1
+    acc = TruncatedSeries.one(big).scale(poly.coeffs[0])
+    for c in poly.coeffs[1:]:
+        acc = (acc * s).plus_constant(c)
+    return acc

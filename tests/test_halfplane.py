@@ -212,6 +212,15 @@ def test_non_finite_tau_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "tau",
+    [complex(0, math.nan), complex(0.1, math.nan), complex(0, math.inf)],
+    ids=["nan-im", "nan-im-off-axis", "inf-im"],
+)
+def test_non_finite_height_is_not_in_fundamental_domain(tau):
+    assert not in_fundamental_domain(tau)
+
+
 # --- predicted zeros ------------------------------------------------------------------
 
 

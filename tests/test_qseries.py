@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faberzeros.cli import _series_json
 from faberzeros.errors import DomainError
 from faberzeros.qseries import (
     TruncatedSeries,
@@ -412,7 +413,7 @@ def test_power_matches_repeated_multiplication(a, n):
 
 def test_json_round_trip():
     e12 = eisenstein_series(12, 4)
-    d = e12.to_json_dict()
+    d = _series_json(e12)
     assert d["coeffs"][0] == "1"
     assert d["coeffs"][1] == str(Fraction(65520, 691))
 
