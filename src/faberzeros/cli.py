@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -231,36 +232,39 @@ def _emit_points(weights, args: argparse.Namespace) -> None:
     """The predicted zero of every weight and every inverse zero z_{D,r}, one row each.
 
     Each z_{D,r} fixes a vertical line; the weight only sets the height on it.
-    So r and Re are formatted once per line, and each point costs one
-    logarithm and one f-string: the bytes ``_json_text``/``_csv_text`` would
-    write for the ``(k, r, re, im)`` rows, k-major and r-minor.
+    So one template per weight holds r and Re for every line, with ``%d``
+    for k and ``%.17g`` for each height, and one ``%`` over the repeated
+    template formats every point in C: the bytes ``_json_text``/``_csv_text``
+    would write for the ``(k, r, re, im)`` rows, k-major and r-minor.
+
+    Heights grow with k, so a line that any weight refuses is refused at
+    the first or the last weight: checking those two, first weight first,
+    raises the error (and the message) the k-major walk meets first.
     """
     limits = truncated_exp_inverse_zeros(args.degree, tol=args.tol).roots
     tracks = [(r, *_prediction_line(z)) for r, z in enumerate(limits, 1)]
+    radii = [z_abs for _, _, z_abs in tracks]
+    for k in (weights[0], weights[-1]):
+        for z_abs in radii:
+            _prediction_height(k, z_abs)
     if args.format == "json":
-        shared = [
-            (f',\n    "r": {r},\n    "re": {_fmt(x)},\n    "im": ', z_abs) for r, x, z_abs in tracks
-        ]
         rows = [
-            f'  {{\n    "k": {k}{mid}{_fmt(_prediction_height(k, z_abs))}\n  }}'
-            for k in weights for mid, z_abs in shared
+            f'  {{\n    "k": %d,\n    "r": {r},\n    "re": {_fmt(x)},\n    "im": %.17g\n  }}'
+            for r, x, _ in tracks
         ]
-        text = "[\n" + ",\n".join(rows) + "\n]\n"
+        head, sep, tail = "[\n", ",\n", "\n]\n"
     elif args.format == "csv":
-        shared = [(f",{r},{_fmt(x)},", z_abs) for r, x, z_abs in tracks]
-        rows = [
-            f"{k}{mid}{_fmt(_prediction_height(k, z_abs))}"
-            for k in weights for mid, z_abs in shared
-        ]
-        text = "k,r,re,im\n" + "\n".join(rows) + "\n"
+        rows = [f"%d,{r},{_fmt(x)},%.17g" for r, x, _ in tracks]
+        head, sep, tail = "k,r,re,im\n", "\n", "\n"
     else:
-        shared = [(f" r={r}: {_fmt(x)} + ", z_abs) for r, x, z_abs in tracks]
-        rows = [
-            f"k={k}{mid}{_fmt(_prediction_height(k, z_abs))}i"
-            for k in weights for mid, z_abs in shared
-        ]
-        text = "\n".join(rows) + "\n"
-    _emit(text, args)
+        rows = [f"k=%d r={r}: {_fmt(x)} + %.17gi" for r, x, _ in tracks]
+        head, sep, tail = "", "\n", "\n"
+    log, two_pi = math.log, 2 * math.pi
+    cells = [0] * (2 * len(weights) * len(radii))
+    cells[0::2] = [k for k in weights for _ in radii]
+    cells[1::2] = [log(2 * k * z_abs) / two_pi for k in weights for z_abs in radii]
+    template = f"{head}{sep.join([sep.join(rows)] * len(weights))}{tail}"
+    _emit(template % tuple(cells), args)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -29,7 +29,6 @@ __all__ = [
     "JEvaluation",
     "ZeroReportRow",
     "ZeroReport",
-    "in_fundamental_domain",
     "evaluate_j",
     "invert_j",
     "reduce_to_fundamental_domain",
@@ -60,26 +59,12 @@ def _upper_half_plane(tau) -> complex:
 
 @dataclass(frozen=True, slots=True)
 class HalfPlanePoint:
-    """A point tau with finite Re(tau) and 0 < Im(tau) < inf;
-    ``in_fundamental_domain(p.tau)`` tells whether it is reduced."""
+    """A point tau with finite Re(tau) and 0 < Im(tau) < inf."""
 
     tau: complex
 
     def __post_init__(self):
         _upper_half_plane(self.tau)
-
-
-def in_fundamental_domain(tau: complex) -> bool:
-    """The three membership predicates, with a small tolerance on the circle."""
-    x, y = tau.real, tau.imag
-    if not (0 < y < math.inf and -0.5 <= x < 0.5):  # false for a NaN height too
-        return False
-    r2 = x * x + y * y
-    if r2 < 1.0 - _BOUNDARY_EPS:
-        return False
-    if abs(r2 - 1.0) <= _BOUNDARY_EPS and x > _BOUNDARY_EPS:
-        return False
-    return True
 
 
 @dataclass(frozen=True, slots=True)

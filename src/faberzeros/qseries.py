@@ -24,6 +24,7 @@ j = E_4^3 / Delta = q^{-1} E_4^3 / U.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import DomainError
@@ -175,20 +176,6 @@ class TruncatedSeries:
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(self.valuation, [-c for c in self.coeffs], self.order)
-
-    def plus_constant(self, c) -> "TruncatedSeries":
-        """Add an exact constant; unlike ``+`` this never shrinks the validity.
-
-        If the constant term lies at or beyond the truncation order the
-        known part is unchanged.
-        """
-        c = _exact(c)
-        if c == 0 or self.order <= 0:
-            return self
-        v = min(self.valuation, 0)
-        coeffs = [self.coeff(n) for n in range(v, self.order)]
-        coeffs[-v] += c
-        return TruncatedSeries(v, coeffs, self.order)
 
     def __sub__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -375,8 +362,13 @@ def delta_series(order: int) -> TruncatedSeries:
     return eta_unit(order - 1).shift(1)
 
 
+@lru_cache(maxsize=None)
 def j_series(order: int) -> TruncatedSeries:
-    """Klein's j = q^{-1} E_4^3 / U, modulo q^order (valuation -1, integer coefficients)."""
+    """Klein's j = q^{-1} E_4^3 / U, modulo q^order (valuation -1, integer coefficients).
+
+    Memoized per order: the series is immutable, so ``j_power_table`` and
+    ``halfplane`` share one copy, and a call that raises is not cached.
+    """
     if order < 0:
         raise DomainError("j_series requires order >= 0")
     n = order + 1

@@ -2,17 +2,21 @@
 
 The faberzeros pipeline never calls anything here: these are the
 closed-form Faber polynomials for D <= 3, Ostrowski's root displacement
-bound, the companion-matrix eigenvalues of a monic polynomial, and
-Horner evaluation of F at a q-series argument (used to rebuild
-f = Delta^ell E_{k'} F(j) exactly).
+bound, the companion-matrix eigenvalues of a monic polynomial, Horner
+evaluation of F at a q-series argument (used to rebuild
+f = Delta^ell E_{k'} F(j) exactly), and membership in the standard
+fundamental domain.
 """
+
+import math
 
 import mpmath
 
 from faberzeros.errors import DomainError
 from faberzeros.faber import FaberPoly, faber_polynomial
+from faberzeros.halfplane import _BOUNDARY_EPS
 from faberzeros.modforms import decompose_weight, miller_form_spec
-from faberzeros.qseries import TruncatedSeries, gamma_k
+from faberzeros.qseries import TruncatedSeries, _exact, gamma_k
 from faberzeros.roots import ComplexPoly
 
 
@@ -79,10 +83,38 @@ def companion_roots(coeffs) -> list[complex]:
         return [complex(z) for z in mpmath.eig(companion, left=False, right=False)]
 
 
+def plus_constant(series: TruncatedSeries, c) -> TruncatedSeries:
+    """series + c for an exact constant c; unlike ``+`` this never shrinks the validity.
+
+    If the constant term lies at or beyond the truncation order the
+    known part is unchanged.
+    """
+    c = _exact(c)
+    if c == 0 or series.order <= 0:
+        return series
+    v = min(series.valuation, 0)
+    coeffs = [series.coeff(n) for n in range(v, series.order)]
+    coeffs[-v] += c
+    return TruncatedSeries(v, coeffs, series.order)
+
+
 def evaluate_series(poly: FaberPoly, s: TruncatedSeries) -> TruncatedSeries:
     """F(s) by Horner's rule at a series argument (used to verify f = Delta^ell E_k' F(j))."""
     big = s.order + (poly.degree + 1) * max(1, -min(s.valuation, 0)) + 1
     acc = TruncatedSeries.one(big).scale(poly.coeffs[0])
     for c in poly.coeffs[1:]:
-        acc = (acc * s).plus_constant(c)
+        acc = plus_constant(acc * s, c)
     return acc
+
+
+def in_fundamental_domain(tau: complex) -> bool:
+    """The three membership predicates, with a small tolerance on the circle."""
+    x, y = tau.real, tau.imag
+    if not (0 < y < math.inf and -0.5 <= x < 0.5):  # false for a NaN height too
+        return False
+    r2 = x * x + y * y
+    if r2 < 1.0 - _BOUNDARY_EPS:
+        return False
+    if abs(r2 - 1.0) <= _BOUNDARY_EPS and x > _BOUNDARY_EPS:
+        return False
+    return True

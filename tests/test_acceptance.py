@@ -23,12 +23,7 @@ from fractions import Fraction
 
 from faberzeros.cli import main as cli_main
 from faberzeros.faber import faber_polynomial, renormalized_coeffs
-from faberzeros.halfplane import (
-    evaluate_j,
-    in_fundamental_domain,
-    invert_j,
-    zero_report,
-)
+from faberzeros.halfplane import evaluate_j, invert_j, zero_report
 from faberzeros.modforms import decompose_weight, miller_basis_series, miller_form_spec
 from faberzeros.qseries import (
     TruncatedSeries,
@@ -42,7 +37,7 @@ from faberzeros.roots import (
     match_roots,
     truncated_exp_inverse_zeros,
 )
-from oracles import closed_form_check, ostrowski_bound
+from oracles import closed_form_check, in_fundamental_domain, ostrowski_bound
 
 
 def run_criterion(num, description, budget_seconds, body):

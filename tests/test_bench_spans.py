@@ -5,7 +5,9 @@ EXPECTED_SPANS gets no calls, which happens when a refactor moves,
 renames or bypasses a traced function.  This test runs each workload's
 warmup op (and, for sweep, one figure and one basis op as well) under
 the benchmark's own Tracer, so that such a break shows at test time.
-The benchmark files are loaded by path and used as they are.
+The benchmark files are loaded by path and used as they are.  The
+memoized ``j_series`` is cleared first: an earlier test that built j at
+the same order would otherwise leave ``qseries.eta_unit`` without calls.
 """
 
 import importlib.util
@@ -13,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from faberzeros.qseries import j_series
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,6 +42,7 @@ EXTRA_OPS = {
 @pytest.mark.parametrize("workload", sorted(run.EXPECTED_SPANS))
 def test_traced_ops_reach_every_expected_span(workload):
     wl = workloads.WORKLOADS[workload]
+    j_series.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -198,6 +198,24 @@ def test_stdout_same_with_cold_and_warm_limit_cache(capsys, argv):
     assert cold[0] == EXIT_OK and cold == warm
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--D", "6", "--k-min", "2400", "--k-max", "9600", "--format", "json"),
+        ("faber", "--k", "240", "--m", "0", "--format", "csv"),
+    ],
+    ids=lambda v: v[0],
+)
+def test_stdout_same_with_cold_and_warm_j_cache(capsys, argv):
+    from faberzeros.qseries import j_series
+
+    j_series.cache_clear()
+    cold = run(capsys, *argv)
+    warm = run(capsys, *argv)
+    assert j_series.cache_info().hits >= 1
+    assert cold[0] in (EXIT_OK, EXIT_VERIFY_FAILED) and cold == warm
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_tolerance_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "zeros", "--k", "240000", "--m", "last-2", "--tol", tol)

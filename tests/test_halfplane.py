@@ -20,7 +20,6 @@ from faberzeros.halfplane import (
     ZeroReportRow,
     _j_coefficients,
     evaluate_j,
-    in_fundamental_domain,
     invert_j,
     predicted_zero,
     reduce_to_fundamental_domain,
@@ -28,6 +27,7 @@ from faberzeros.halfplane import (
 )
 from faberzeros.modforms import decompose_weight, miller_form_spec
 from faberzeros.roots import truncated_exp_inverse_zeros
+from oracles import in_fundamental_domain
 
 
 def j_oracle(tau):

@@ -20,6 +20,7 @@ from faberzeros.qseries import (
     j_series,
     sigma,
 )
+from oracles import plus_constant
 
 S = TruncatedSeries
 
@@ -363,6 +364,15 @@ def test_j_coefficients_integral_and_nonnegative():
             assert c >= 0
 
 
+def test_j_series_cache_matches_the_uncached_build():
+    for n in range(61):
+        assert j_series(n) == j_series.__wrapped__(n)
+
+
+def test_j_series_repeated_call_returns_the_same_object():
+    assert j_series(17) is j_series(17)
+
+
 # --- ring axioms (property-based) ----------------------------------------------
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
@@ -420,5 +430,5 @@ def test_json_round_trip():
 
 def test_plus_constant_keeps_validity():
     j = j_series(4)
-    assert j.plus_constant(-744).order == j.order
-    assert j.plus_constant(-744).coeff(0) == 0
+    assert plus_constant(j, -744).order == j.order
+    assert plus_constant(j, -744).coeff(0) == 0
