@@ -10,11 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
+from operator import mul, sub
 
 from .errors import DomainError
 from .modforms import ModularFormSpec, decompose_weight
-from .qseries import TruncatedSeries, _convolve, _exact, eisenstein_series, euler_phi, j_series
+from .qseries import (
+    TruncatedSeries,
+    _clear_denominators,
+    _convolve,
+    _divide,
+    _exact,
+    eisenstein_series,
+    euler_phi,
+    j_series,
+)
 
 __all__ = [
     "FaberPoly",
@@ -100,14 +111,18 @@ def principal_part(spec: ModularFormSpec) -> tuple[int | Fraction, ...]:
     Writing f = q^m * y(q) with y the unit window, the quotient equals
     q^{-D} * y(q) / (phi^{24 ell} E_{k'}) mod q, phi = prod (1-q^n), so
     only the D+1 unit coefficients matter.  phi^{-24 ell} and 1/E_{k'} are
-    Miller powers in O(D^2) integer steps whatever ell is, so the cost is
-    independent of k.
+    Miller powers in O(D^2) integer steps whatever ell is (the phi power
+    visits only phi's O(sqrt D) nonzero terms), so the cost is independent
+    of k.  The window is scaled to ints by the lcm L of its denominators
+    (1 for Miller windows), the whole product runs on ints, and A is
+    divided by L only on return.
     """
     order = spec.degree + 1
-    y = TruncatedSeries(0, spec.unit_coeffs, order)
+    window, scale = _clear_denominators(spec.unit_coeffs)
+    y = TruncatedSeries(0, window, order)
     e_inverse = eisenstein_series(spec.k_prime, order).inverse(order)
     a = y * euler_phi(order) ** (-24 * spec.ell) * e_inverse
-    return tuple(a.coeff(i) for i in range(order))
+    return tuple(_divide([a.coeff(i) for i in range(order)], scale))
 
 
 def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:
@@ -115,16 +130,20 @@ def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:
 
     For each s = D, D-1, ..., 0 the coefficient of q^{-s} gives
     sum_{r=s}^{D} c_{r,s} x_{D-r} = A(D-s), and c_{s,s} = 1 lets x_{D-s}
-    be read off directly.  Exact, no pivoting; on Python ints when the
-    principal part is integral, as it is for every Miller window.
+    be read off directly.  Exact, no pivoting, and on Python ints
+    throughout: A is scaled by the lcm L of its denominators, each x_{D-r},
+    once known, is taken out of every pending right-hand side with one
+    C-level pass over row r, and the x are divided by L at the end.
     """
     d = spec.degree
-    a = principal_part(spec)
+    b, scale = _clear_denominators(principal_part(spec))
     table = j_power_table(d)
-    x = [0] * (d + 1)
-    for s in range(d, -1, -1):
-        x[d - s] = a[d - s] - sum(table[r][s] * x[d - r] for r in range(s + 1, d + 1))
-    return FaberPoly(k=spec.k, m=spec.m, coeffs=tuple(x))
+    pending = b[::-1]  # pending[s] is the right-hand side of the q^{-s} equation
+    x = []
+    for r in range(d, -1, -1):
+        x.append(pending.pop())
+        pending = list(map(sub, pending, map(mul, table[r], repeat(x[-1]))))
+    return FaberPoly(k=spec.k, m=spec.m, coeffs=tuple(_divide(x, scale)))
 
 
 def renormalized_coeffs(f: FaberPoly) -> list[Fraction]:

@@ -7,12 +7,19 @@ that validity, never extends it silently.
 
 Two kernels do all the work, on whatever mix of ints and Fractions the
 coefficients are, so integral series (U, E_k' for k' != 12, Delta, j) run
-entirely on Python ints:
+entirely on Python ints, with their inner products summed in C:
 
 - ``_convolve``, the truncated product;
 - ``_power``, J.C.P. Miller's recurrence for v = u^alpha (Knuth, TAOCP
   vol. 2, 4.7), m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i},
-  which costs O(n^2) whatever alpha is; alpha = -1 is the inverse.
+  which costs O(n^2) whatever alpha is; alpha = -1 is the inverse.  It
+  visits only the nonzero u_i, so a power of phi, whose nonzero terms
+  below q^n number O(sqrt(n)), costs O(n^1.5), and it stays on ints
+  whenever each quotient is exact.
+
+Rational inputs need not bring Fractions into either kernel:
+``_clear_denominators`` scales a sequence to ints by the lcm of its
+denominators, and ``_divide`` takes that factor out again at the end.
 
 The generators cover the Eisenstein series E_k for the weights that occur
 as k' in the decomposition k = 12*ell + k' (plus k = 12), Euler's function
@@ -25,7 +32,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from itertools import repeat
+from math import isqrt, lcm
+from operator import mul, sub
 
 from .errors import DomainError
 
@@ -53,26 +62,64 @@ def _exact(x) -> int | Fraction:
     raise DomainError(f"not an exact rational: {x!r}")
 
 
+def _clear_denominators(values) -> tuple[list[int], int]:
+    """(ints, L) with ints[i] = values[i] * L exactly, L the lcm of the
+    denominators of the exact rationals ``values`` (1 when all are ints)."""
+    scale = lcm(*(c.denominator for c in values))
+    if scale == 1:
+        return [int(c) for c in values], 1
+    return [c.numerator * (scale // c.denominator) for c in values], scale
+
+
+def _divide(ints, scale: int) -> list:
+    """ints[i] / scale in canonical form: int when integral, Fraction otherwise."""
+    if scale == 1:
+        return list(ints)
+    return [_exact(Fraction(n, scale)) for n in ints]
+
+
 def _convolve(a, b, n: int) -> list:
-    """Coefficients 0..n-1 of the product of the coefficient sequences a and b."""
-    return [
-        sum(a[i] * b[k - i] for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))))
-        for k in range(n)
-    ]
+    """Coefficients 0..n-1 of the product of the coefficient sequences a and b.
+
+    Output k pairs a[lo:hi] with b[k-lo], ..., b[k-hi+1], which is a slice
+    of reversed b starting at len(b) - 1 - k + lo >= 0.
+    """
+    rb = b[::-1]
+    last = len(b) - 1
+    out = []
+    for k in range(n):
+        lo = max(0, k - last)
+        hi = min(k + 1, len(a))
+        out.append(sum(map(mul, a[lo:hi], rb[last - k + lo:last - k + hi])))
+    return out
 
 
 def _power(u, alpha: int, n: int) -> list:
     """Coefficients 0..n-1 of u^alpha for a coefficient sequence with u[0] != 0.
 
     Miller's recurrence m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i}
-    from v_0 = u_0^alpha.  Every quotient is exact; when u is integral and
-    u_0 = +-1 every v_m is an integer, so the whole run stays on ints.
+    from v_0 = u_0^alpha, summed over the nonzero u_i only.  Every quotient
+    is exact; an int quotient with remainder 0 stays an int, so when u is
+    integral and u_0 = +-1 the whole run stays on ints.
     """
     u0 = u[0]
     v = [_exact(Fraction(u0) ** alpha)]
+    live = [i for i in range(1, min(n, len(u))) if u[i] != 0]
+    coeffs = [u[i] for i in live]
+    weights = [(alpha + 1) * i * u[i] for i in live]
+    count = 0  # live indices <= m
     for m in range(1, n):
-        s = sum(((alpha + 1) * i - m) * u[i] * v[m - i] for i in range(1, min(m + 1, len(u))))
-        v.append(_exact(Fraction(s, m * u0)))
+        if count < len(live) and live[count] == m:
+            count += 1
+        back = list(map(v.__getitem__, map(sub, repeat(m, count), live)))
+        s = sum(map(mul, weights, back)) - m * sum(map(mul, coeffs, back))
+        d = m * u0
+        if type(s) is int and type(d) is int:
+            q, r = divmod(s, d)
+            if r == 0:
+                v.append(q)
+                continue
+        v.append(_exact(Fraction(s, d)))
     return v
 
 

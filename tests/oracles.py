@@ -4,16 +4,18 @@ The faberzeros pipeline never calls anything here: these are the
 closed-form Faber polynomials for D <= 3, Ostrowski's root displacement
 bound, the companion-matrix eigenvalues of a monic polynomial, Horner
 evaluation of F at a q-series argument (used to rebuild
-f = Delta^ell E_{k'} F(j) exactly), and membership in the standard
-fundamental domain.
+f = Delta^ell E_{k'} F(j) exactly), membership in the standard
+fundamental domain, and the plain rational forms of two kernels: the dense
+Miller power recurrence and the column-by-column triangular Faber solve.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 
 from faberzeros.errors import DomainError
-from faberzeros.faber import FaberPoly, faber_polynomial
+from faberzeros.faber import FaberPoly, faber_polynomial, j_power_table, principal_part
 from faberzeros.halfplane import _BOUNDARY_EPS
 from faberzeros.modforms import decompose_weight, miller_form_spec
 from faberzeros.qseries import TruncatedSeries, _exact, gamma_k
@@ -46,6 +48,31 @@ def closed_form_poly(k: int, m: int) -> FaberPoly:
 def closed_form_check(k: int, m: int) -> bool:
     """True iff the system-solved F_{k,m} equals the closed form exactly."""
     return faber_polynomial(miller_form_spec(k, m)) == closed_form_poly(k, m)
+
+
+def dense_miller_power(u, alpha: int, n: int) -> list:
+    """Coefficients 0..n-1 of u^alpha by Miller's recurrence
+    m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i}, visiting every
+    u_i, zero or not, and dividing each step as a Fraction."""
+    u0 = u[0]
+    v = [_exact(Fraction(u0) ** alpha)]
+    for m in range(1, n):
+        s = sum(((alpha + 1) * i - m) * u[i] * v[m - i] for i in range(1, min(m + 1, len(u))))
+        v.append(_exact(Fraction(s, m * u0)))
+    return v
+
+
+def column_solve_faber_polynomial(spec) -> FaberPoly:
+    """F from the principal part A and the j-power table, solved for one
+    x_{D-s} at a time as A(D-s) - sum_{r>s} c_{r,s} x_{D-r}, in whatever mix
+    of ints and Fractions A has."""
+    d = spec.degree
+    a = principal_part(spec)
+    table = j_power_table(d)
+    x = [0] * (d + 1)
+    for s in range(d, -1, -1):
+        x[d - s] = a[d - s] - sum(table[r][s] * x[d - r] for r in range(s + 1, d + 1))
+    return FaberPoly(k=spec.k, m=spec.m, coeffs=tuple(x))
 
 
 def ostrowski_bound(p: ComplexPoly, q: ComplexPoly) -> float:

@@ -30,7 +30,12 @@ from faberzeros.qseries import (
     j_series,
 )
 from faberzeros.roots import ComplexPoly, find_roots, scaled_faber_roots
-from oracles import closed_form_check, closed_form_poly, evaluate_series
+from oracles import (
+    closed_form_check,
+    closed_form_poly,
+    column_solve_faber_polynomial,
+    evaluate_series,
+)
 
 
 # --- j-power table -------------------------------------------------------------
@@ -322,6 +327,66 @@ def test_principal_part_matches_two_step_route():
             window = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
             for spec in (miller_form_spec(k, m), custom_form_spec(k, m, window)):
                 assert principal_part(spec) == two_step_principal_part(spec), (k, m)
+    # the benchmark's degrees, at a small and a large ell
+    for d in (24, 39):
+        for ell in (d, 2 * 10**6):
+            for k_prime in (0, 4, 6, 8, 10, 14):
+                k = 12 * ell + k_prime
+                window = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+                for spec in (miller_form_spec(k, ell - d), custom_form_spec(k, ell - d, window)):
+                    got, want = principal_part(spec), two_step_principal_part(spec)
+                    assert got == want, (k, d)
+                    assert [type(c) for c in got] == [type(c) for c in want], (k, d)
+
+
+# --- the integer solve against the rational column solve, at benchmark sizes ----
+
+SOLVE_DEGREES = (24, 31, 39)
+
+
+def assert_same_poly(got, want):
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("d", SOLVE_DEGREES)
+def test_solve_matches_column_solve_on_custom_windows(d):
+    rng = random.Random(d)
+    # numerators +-1 over every denominator 1..9 (lcm 2520), then random p/q
+    every_denominator = [Fraction((-1) ** i, 1 + i % 9) for i in range(d)]
+    random_window = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+    for k_prime, window in ((6, every_denominator), (14, random_window)):
+        ell = rng.randint(10**4, 2 * 10**6)
+        spec = custom_form_spec(12 * ell + k_prime, ell - d, window)
+        assert any(type(c) is Fraction for c in principal_part(spec))
+        got = faber_polynomial(spec)
+        assert_same_poly(got, column_solve_faber_polynomial(spec))
+        assert any(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("d", SOLVE_DEGREES)
+def test_solve_returns_ints_where_the_cleared_denominators_cancel(d):
+    # x_s depends only on y(0..s): an integral head of the window gives
+    # integral x_s, although the solve scales every x by the same lcm
+    head = d // 2
+    window = [(-1) ** i * (i + 3) for i in range(head)]
+    window += [Fraction(-5, 4), Fraction(7, 9)] + [Fraction(i, 6) for i in range(d - head - 2)]
+    ell = 123_457
+    spec = custom_form_spec(12 * ell + 8, ell - d, window)
+    got = faber_polynomial(spec)
+    assert_same_poly(got, column_solve_faber_polynomial(spec))
+    assert all(type(c) is int for c in got.coeffs[: head + 1])
+    assert type(got.coeffs[head + 1]) is Fraction
+
+
+@pytest.mark.parametrize("d", SOLVE_DEGREES)
+def test_solve_matches_column_solve_on_miller_windows(d):
+    for k_prime in (0, 4, 6, 8, 10, 14):
+        ell = 10**4 + 97 * k_prime
+        spec = miller_form_spec(12 * ell + k_prime, ell - d)
+        got = faber_polynomial(spec)
+        assert_same_poly(got, column_solve_faber_polynomial(spec))
+        assert all(type(c) is int for c in got.coeffs)
 
 
 def test_principal_part_convolution_equivalence():

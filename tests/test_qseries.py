@@ -12,6 +12,8 @@ from faberzeros.cli import _series_json
 from faberzeros.errors import DomainError
 from faberzeros.qseries import (
     TruncatedSeries,
+    _convolve,
+    _power,
     delta_series,
     eisenstein_series,
     eta_unit,
@@ -20,7 +22,7 @@ from faberzeros.qseries import (
     j_series,
     sigma,
 )
-from oracles import plus_constant
+from oracles import dense_miller_power, plus_constant
 
 S = TruncatedSeries
 
@@ -208,6 +210,69 @@ def test_integral_unit_powers_stay_on_ints():
     u = eta_unit(30)
     for e in (-5000, -1, 0, 3, 700):
         assert all(type(c) is int for c in (u**e).coeffs)
+
+
+def naive_convolve(a, b, n):
+    """Coefficients 0..n-1 of a * b by the double loop over all index pairs."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_convolve_matches_double_loop(rational):
+    # past k = len(b) the window into b starts at the front of reversed b;
+    # an off-by-one there drops or repeats a term without raising
+    rng = random.Random(4711 + rational)
+
+    def draw():
+        if rational and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return rng.randint(-9, 9)
+
+    shapes = [(0, 0), (0, 4), (5, 0), (1, 1), (1, 6), (6, 1), (3, 7), (7, 3), (6, 6)]
+    for len_a, len_b in shapes:
+        a = tuple(draw() for _ in range(len_a))
+        b = [draw() for _ in range(len_b)]
+        for n in range(len_a + len_b + 3):
+            got = _convolve(a, b, n)
+            want = naive_convolve(a, b, n)
+            assert got == want, (a, b, n)
+            assert [type(c) for c in got] == [type(c) for c in want], (a, b, n)
+
+
+@pytest.mark.parametrize("ell", [1, 7, 2 * 10**6])
+def test_sparse_phi_power_matches_dense_recurrence(ell):
+    phi = euler_phi(40)
+    for e in (-24 * ell, 24):
+        want = dense_miller_power(phi.coeffs, e, 40)
+        got = phi**e
+        assert got.coeffs == tuple(want), e
+        assert all(type(c) is int for c in got.coeffs), e
+        for n in (1, 2, 6, 23, 41):
+            assert _power(phi.coeffs, e, n) == dense_miller_power(phi.coeffs, e, n), (e, n)
+
+
+def test_powers_of_a_non_unit_leading_coefficient_are_exact_fractions():
+    u = S(0, [2, 1, 3] + [0] * 13, 16)
+    for e in (-1, -3):
+        got = _power(u.coeffs, e, 16)
+        assert got == dense_miller_power(u.coeffs, e, 16), e
+        assert all(type(c) is Fraction for c in got), e
+        assert u**e * u**-e == S.one(16), e
+    assert u * u.inverse() == S.one(16)
+    assert u.inverse().coeffs[:3] == (Fraction(1, 2), Fraction(-1, 4), Fraction(-5, 8))
+
+
+def test_powers_of_a_minus_one_leading_unit_stay_on_ints():
+    u = [-1, 2, 0, -1, 5, 0, 0, 3]
+    for e in (-1, -3, -24, 2, 5):
+        got = _power(u, e, 20)
+        assert got == dense_miller_power(u, e, 20), e
+        assert all(type(c) is int for c in got), e
 
 
 def test_negative_power_of_non_unit_raises():
