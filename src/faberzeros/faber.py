@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import factorial
 from operator import mul, sub
@@ -19,9 +20,9 @@ from .modforms import ModularFormSpec, decompose_weight
 from .qseries import (
     TruncatedSeries,
     _clear_denominators,
-    _convolve,
     _divide,
     _exact,
+    _power,
     eisenstein_series,
     euler_phi,
     j_series,
@@ -88,20 +89,21 @@ def j_power_table(d: int) -> tuple[tuple[int, ...], ...]:
     c[r][s] is the coefficient of q^{-s} in j^r.
 
     With the unit u = q*j, j^r = q^{-r} u^r, so c[r][s] = [q^{r-s}] u^r:
-    row r is the first r+1 coefficients of u^r, reversed.  Each power is
-    one integer convolution with u, kept to D+1 terms.  Every entry is a
-    non-negative integer, with c[r][r] = 1 and c[r][r-1] = 744*r.
+    row r is the first r+1 coefficients of u^r, reversed, and each row is
+    one Miller power of u to r+1 terms, on ints since u_0 = 1.  Every
+    entry is a non-negative integer, with c[r][r] = 1 and c[r][r-1] = 744*r.
     """
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
     u = j_series(d).coeffs
-    rows = []
-    power = [1]
-    for r in range(d + 1):
-        rows.append(tuple(power[r::-1]))
-        if r < d:
-            power = _convolve(power, u, d + 1)
-    return tuple(rows)
+    return tuple(tuple(_power(u, r, r + 1)[::-1]) for r in range(d + 1))
+
+
+@lru_cache(maxsize=None)
+def _eisenstein_inverse(k_prime: int, order: int) -> TruncatedSeries:
+    """1/E_{k'} modulo q^order, memoized per (k', order) like ``j_series``:
+    the series is immutable, and a call that raises is not cached."""
+    return eisenstein_series(k_prime, order).inverse(order)
 
 
 def principal_part(spec: ModularFormSpec) -> tuple[int | Fraction, ...]:
@@ -113,15 +115,15 @@ def principal_part(spec: ModularFormSpec) -> tuple[int | Fraction, ...]:
     only the D+1 unit coefficients matter.  phi^{-24 ell} and 1/E_{k'} are
     Miller powers in O(D^2) integer steps whatever ell is (the phi power
     visits only phi's O(sqrt D) nonzero terms), so the cost is independent
-    of k.  The window is scaled to ints by the lcm L of its denominators
-    (1 for Miller windows), the whole product runs on ints, and A is
-    divided by L only on return.
+    of k; 1/E_{k'} is built once per (k', D) and then reused.  The window
+    is scaled to ints by the lcm L of its denominators (1 for Miller
+    windows), the whole product runs on ints, and A is divided by L only
+    on return.
     """
     order = spec.degree + 1
     window, scale = _clear_denominators(spec.unit_coeffs)
     y = TruncatedSeries(0, window, order)
-    e_inverse = eisenstein_series(spec.k_prime, order).inverse(order)
-    a = y * euler_phi(order) ** (-24 * spec.ell) * e_inverse
+    a = y * euler_phi(order) ** (-24 * spec.ell) * _eisenstein_inverse(spec.k_prime, order)
     return tuple(_divide([a.coeff(i) for i in range(order)], scale))
 
 

@@ -15,7 +15,9 @@ entirely on Python ints, with their inner products summed in C:
   which costs O(n^2) whatever alpha is; alpha = -1 is the inverse.  It
   visits only the nonzero u_i, so a power of phi, whose nonzero terms
   below q^n number O(sqrt(n)), costs O(n^1.5), and it stays on ints
-  whenever each quotient is exact.
+  whenever each quotient is exact.  A base with no zero coefficient
+  (q*j, E_k' for k' != 0) takes the dense path: each step reads the
+  v_{m-i} it needs as one reversed slice of v.
 
 Rational inputs need not bring Fractions into either kernel:
 ``_clear_denominators`` scales a sequence to ints by the lcm of its
@@ -98,20 +100,28 @@ def _power(u, alpha: int, n: int) -> list:
     """Coefficients 0..n-1 of u^alpha for a coefficient sequence with u[0] != 0.
 
     Miller's recurrence m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i}
-    from v_0 = u_0^alpha, summed over the nonzero u_i only.  Every quotient
-    is exact; an int quotient with remainder 0 stays an int, so when u is
-    integral and u_0 = +-1 the whole run stays on ints.
+    from v_0 = u_0^alpha, summed over the nonzero u_i only.  When no u_i
+    below n is zero, the v_{m-i} needed are the reversed slice
+    v[m-1], ..., v[m-count] and are sliced rather than gathered.  Every
+    quotient is exact; an int quotient with remainder 0 stays an int, so
+    when u is integral and u_0 = +-1 the whole run stays on ints.
     """
+    if n <= 0:
+        return []
     u0 = u[0]
     v = [_exact(Fraction(u0) ** alpha)]
     live = [i for i in range(1, min(n, len(u))) if u[i] != 0]
+    dense = len(live) == min(n, len(u)) - 1  # live is 1, 2, 3, ... with no gap
     coeffs = [u[i] for i in live]
     weights = [(alpha + 1) * i * u[i] for i in live]
     count = 0  # live indices <= m
     for m in range(1, n):
         if count < len(live) and live[count] == m:
             count += 1
-        back = list(map(v.__getitem__, map(sub, repeat(m, count), live)))
+        if dense:
+            back = v[m - 1:m - count - 1:-1] if count < m else v[m - 1::-1]
+        else:
+            back = list(map(v.__getitem__, map(sub, repeat(m, count), live)))
         s = sum(map(mul, weights, back)) - m * sum(map(mul, coeffs, back))
         d = m * u0
         if type(s) is int and type(d) is int:

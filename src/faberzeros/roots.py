@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -40,6 +40,11 @@ def _check_tolerance(tol: float) -> None:
     """Refuse a tolerance that would make a residual check vacuous or unsatisfiable."""
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if tol < sys.float_info.epsilon:
+        raise DomainError(
+            f"tolerance {tol} is below the double-precision epsilon "
+            f"{sys.float_info.epsilon}: no residual check can certify it"
+        )
 
 
 def _phase(z: complex) -> float:
@@ -256,13 +261,16 @@ def match_roots(a, b) -> Pairing:
 def scaled_faber_roots(f: FaberPoly, *, tol: float = 1e-10) -> RootSet:
     """The roots z of the rescaled g_k(z) = F(2k z)/(2k)^D with k = f.k, one find_roots solve.
 
-    The coefficients of g_k are computed exactly before the float
-    rounding.  The roots of F itself are t = 2k z (same order); the
-    residual is the finder's, measured on g_k.
+    Each coefficient c/(2k)^s of g_k is rounded to a double once, as the
+    correctly rounded int quotient numerator / (denominator * (2k)^s).
+    The roots of F itself are t = 2k z (same order); the residual is the
+    finder's, measured on g_k.
     """
     _check_tolerance(tol)
     if f.degree == 0:
         return RootSet(roots=(), residual=0.0)
-    scale = Fraction(2 * f.k)
-    g = ComplexPoly.from_coefficients(float(c / scale**s) for s, c in enumerate(f.coeffs))
+    two_k = 2 * f.k
+    g = ComplexPoly.from_coefficients(
+        c.numerator / (c.denominator * two_k**s) for s, c in enumerate(f.coeffs)
+    )
     return find_roots(g, tol=tol)

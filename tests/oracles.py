@@ -5,8 +5,9 @@ closed-form Faber polynomials for D <= 3, Ostrowski's root displacement
 bound, the companion-matrix eigenvalues of a monic polynomial, Horner
 evaluation of F at a q-series argument (used to rebuild
 f = Delta^ell E_{k'} F(j) exactly), membership in the standard
-fundamental domain, and the plain rational forms of two kernels: the dense
-Miller power recurrence and the column-by-column triangular Faber solve.
+fundamental domain, and the plain forms of three kernels: the dense
+Miller power recurrence, the j-power table as a chain of convolutions
+with q*j, and the column-by-column triangular Faber solve.
 """
 
 import math
@@ -18,7 +19,7 @@ from faberzeros.errors import DomainError
 from faberzeros.faber import FaberPoly, faber_polynomial, j_power_table, principal_part
 from faberzeros.halfplane import _BOUNDARY_EPS
 from faberzeros.modforms import decompose_weight, miller_form_spec
-from faberzeros.qseries import TruncatedSeries, _exact, gamma_k
+from faberzeros.qseries import TruncatedSeries, _convolve, _exact, gamma_k, j_series
 from faberzeros.roots import ComplexPoly
 
 
@@ -59,7 +60,20 @@ def dense_miller_power(u, alpha: int, n: int) -> list:
     for m in range(1, n):
         s = sum(((alpha + 1) * i - m) * u[i] * v[m - i] for i in range(1, min(m + 1, len(u))))
         v.append(_exact(Fraction(s, m * u0)))
-    return v
+    return v[:n]
+
+
+def convolution_chain_j_power_table(d: int) -> tuple[tuple[int, ...], ...]:
+    """The j-power table with row r read off u^r = u^(r-1) * u, u = q*j:
+    d successive convolutions, each kept to d+1 terms."""
+    u = j_series(d).coeffs
+    rows = []
+    power = [1]
+    for r in range(d + 1):
+        rows.append(tuple(power[r::-1]))
+        if r < d:
+            power = _convolve(power, u, d + 1)
+    return tuple(rows)
 
 
 def column_solve_faber_polynomial(spec) -> FaberPoly:

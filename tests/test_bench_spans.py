@@ -6,8 +6,10 @@ renames or bypasses a traced function.  This test runs each workload's
 warmup op (and, for sweep, one figure and one basis op as well) under
 the benchmark's own Tracer, so that such a break shows at test time.
 The benchmark files are loaded by path and used as they are.  The
-memoized ``j_series`` is cleared first: an earlier test that built j at
-the same order would otherwise leave ``qseries.eta_unit`` without calls.
+memoized ``j_series`` and 1/E_{k'} are cleared first: an earlier test
+that built j, or inverted E_{k'}, at the same order would otherwise leave
+``qseries.eta_unit``, ``qseries.eisenstein_series`` or ``qseries.inverse``
+without calls.
 """
 
 import importlib.util
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from faberzeros.faber import _eisenstein_inverse
 from faberzeros.qseries import j_series
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,6 +46,7 @@ EXTRA_OPS = {
 def test_traced_ops_reach_every_expected_span(workload):
     wl = workloads.WORKLOADS[workload]
     j_series.cache_clear()
+    _eisenstein_inverse.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

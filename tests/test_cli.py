@@ -223,6 +223,18 @@ def test_tolerance_must_be_positive_and_finite(capsys, tol):
     assert "tolerance must be positive and finite" in err
 
 
+@pytest.mark.parametrize("tol", ["1e-17", "1e-300"])
+@pytest.mark.parametrize(
+    "argv",
+    [("zeros", "--k", "240000", "--m", "last-8"), ("predict", "--k", "2400", "--D", "2")],
+    ids=["zeros", "predict"],
+)
+def test_tolerance_below_double_precision_is_refused_up_front(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == EXIT_INVALID and out == ""
+    assert "below the double-precision epsilon" in err
+
+
 def test_m_alias_last(capsys):
     code, out, _ = run(capsys, "faber", "--k", "24", "--m", "last")
     assert code == EXIT_OK and json.loads(out)["m"] == 2

@@ -200,6 +200,14 @@ def test_library_rejects_non_positive_or_non_finite_tolerance(entry, tol):
         TOLERANCE_ENTRY_POINTS[entry](tol)
 
 
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
+@pytest.mark.parametrize("tol", [1e-17, 1e-300])
+def test_library_rejects_tolerance_below_double_precision(entry, tol):
+    # no double-precision residual can certify a tolerance under machine epsilon
+    with pytest.raises(DomainError, match="below the double-precision epsilon"):
+        TOLERANCE_ENTRY_POINTS[entry](tol)
+
+
 # --- exports ---------------------------------------------------------------------------
 
 

@@ -1,20 +1,24 @@
 """Faber polynomial extraction: worked polynomials, closed forms, identities."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from faberzeros.cli import _faber_json
+from faberzeros import faber, qseries
 from faberzeros.errors import DomainError
 from faberzeros.faber import (
     FaberPoly,
+    _eisenstein_inverse,
     faber_polynomial,
     j_power_table,
     principal_part,
     renormalized_coeffs,
 )
 from faberzeros.modforms import (
+    ALLOWED_K_PRIME,
     ModularFormSpec,
     custom_form_spec,
     decompose_weight,
@@ -34,6 +38,7 @@ from oracles import (
     closed_form_check,
     closed_form_poly,
     column_solve_faber_polynomial,
+    convolution_chain_j_power_table,
     evaluate_series,
 )
 
@@ -61,6 +66,15 @@ def test_j_power_table_invariants():
         if r >= 1:
             assert row[r - 1] == 744 * r
         assert all(type(x) is int and x >= 0 for x in row)
+
+
+def test_j_power_table_equals_the_convolution_chain():
+    # one Miller power per row against d successive products with q*j
+    for d in range(81):
+        table = j_power_table(d)
+        chain = convolution_chain_j_power_table(d)
+        assert table == chain, d
+        assert [[type(x) for x in row] for row in table] == [[type(x) for x in row] for row in chain], d
 
 
 def test_j_power_table_against_series_square():
@@ -97,6 +111,69 @@ def test_principal_part_k26_m0():
     # 24*ell + gamma(14) = 24 + 24
     a = principal_part(miller_form_spec(26, 0))
     assert a[1] == 24 * 1 + gamma_k(14) == 48
+
+
+def test_eisenstein_inverse_memo_matches_the_uncached_build():
+    _eisenstein_inverse.cache_clear()
+    for k_prime in ALLOWED_K_PRIME:
+        for order in range(1, 41):
+            got = _eisenstein_inverse(k_prime, order)
+            assert got == eisenstein_series(k_prime, order).inverse(order), (k_prime, order)
+            assert all(type(c) is int for c in got.coeffs), (k_prime, order)
+
+
+def test_eisenstein_inverse_repeated_call_returns_the_same_object():
+    assert _eisenstein_inverse(6, 25) is _eisenstein_inverse(6, 25)
+
+
+def test_eisenstein_inverse_errors_are_not_cached():
+    _eisenstein_inverse(4, 9)
+    size = _eisenstein_inverse.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            _eisenstein_inverse(2, 9)  # no tabulated gamma(2)
+        with pytest.raises(DomainError):
+            _eisenstein_inverse(4, 0)
+    assert _eisenstein_inverse.cache_info().currsize == size
+
+
+def _kernel_calls(spec):
+    """The multiset of (kernel, argument lengths) one cold faber_polynomial(spec) makes."""
+    calls = Counter()
+    real_convolve, real_power = qseries._convolve, qseries._power
+
+    def convolve(a, b, n):
+        calls["convolve", len(a), len(b), n] += 1
+        return real_convolve(a, b, n)
+
+    def power(u, alpha, n):  # alpha = -24 ell depends on k, so it is left out
+        calls["power", len(u), n] += 1
+        return real_power(u, alpha, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries, "_convolve", convolve)
+        mp.setattr(qseries, "_power", power)
+        mp.setattr(faber, "_power", power)
+        j_series.cache_clear()
+        _eisenstein_inverse.cache_clear()
+        faber_polynomial(spec)
+    return calls
+
+
+@pytest.mark.parametrize("k_prime", [0, 4])
+def test_faber_kernel_calls_do_not_depend_on_the_weight(k_prime):
+    # the north-star claim at D = 24: k = 2.4e5 and 2.4e7 run the same
+    # products and powers on series of the same lengths, so only the size
+    # of the phi-power coefficients can make the larger weight slower
+    d = 24
+    window = [Fraction(i % 7 - 3, 1 + i % 5) for i in range(d)]
+    for make in (miller_form_spec, lambda k, m: custom_form_spec(k, m, window)):
+        low, high = (
+            _kernel_calls(make(k, decompose_weight(k).ell - d))
+            for k in (240_000 + k_prime, 24_000_000 + k_prime)
+        )
+        assert low == high
+        assert sum(n for (name, *_), n in low.items() if name == "power") >= d + 1
 
 
 # --- faber_polynomial -------------------------------------------------------------

@@ -275,6 +275,41 @@ def test_powers_of_a_minus_one_leading_unit_stay_on_ints():
         assert all(type(c) is int for c in got), e
 
 
+POWER_BASES = {
+    "j-unit": list(j_series(12).coeffs),  # dense, u_0 = 1, growing ints
+    "E6": list(eisenstein_series(6, 10).coeffs),  # dense, u_0 = 1, signed ints
+    "dense-minus-one": [-1, 2, 3, -1, 5, 7, 1, 3],
+    "dense-fractions": [1, Fraction(1, 3), Fraction(-2, 5), 4, Fraction(7, 2)],
+    "dense-fraction-lead": [Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 3), 1],
+    "zero-at-3": [1, 2, 3, 0, 5],  # dense below n = 3 only
+    "sparse-minus-one": [-1, 2, 0, -1, 5, 0, 0, 3],
+    "sparse-fractions": [Fraction(2, 3), 0, Fraction(1, 2), 0, 0, -1],
+}
+
+
+@pytest.mark.parametrize(
+    ("base", "alpha"),
+    [
+        (base, alpha)
+        for base in sorted(POWER_BASES)
+        for alpha in (-3, -1, 0, 1, 5, 2 * 10**6)
+        if alpha < 10 or abs(POWER_BASES[base][0]) == 1  # else u_0^alpha has 600000 digits
+    ],
+)
+def test_dense_and_sparse_power_paths_match_the_dense_recurrence(base, alpha):
+    u = POWER_BASES[base]
+    for n in (1, 2, 3, len(u) - 1, len(u), len(u) + 7):
+        got, want = _power(u, alpha, n), dense_miller_power(u, alpha, n)
+        assert got == want, n
+        assert [type(c) for c in got] == [type(c) for c in want], n
+
+
+@pytest.mark.parametrize("base", sorted(POWER_BASES))
+def test_power_to_no_terms_is_empty(base):
+    for alpha in (-1, 0, 3):
+        assert _power(POWER_BASES[base], alpha, 0) == []
+
+
 def test_negative_power_of_non_unit_raises():
     for s in (S(1, [1, 2], 3), S(-1, [1, 5, 7], 2), S.zero(4)):
         with pytest.raises(DomainError):

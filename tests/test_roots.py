@@ -4,14 +4,15 @@ import cmath
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from faberzeros.cli import _roots_json
 from faberzeros.errors import DomainError, NumericalError
-from faberzeros.faber import faber_polynomial
+from faberzeros.faber import FaberPoly, faber_polynomial
 from faberzeros import roots
-from faberzeros.modforms import decompose_weight, miller_form_spec
+from faberzeros.modforms import custom_form_spec, decompose_weight, miller_form_spec
 from faberzeros.roots import (
     ComplexPoly,
     find_roots,
@@ -382,3 +383,33 @@ def test_rootset_json_shape():
     d = _roots_json(truncated_exp_inverse_zeros(2))
     assert set(d) == {"roots", "residual"}
     assert d["roots"][0] == {"re": -0.5, "im": -0.5}
+
+
+def _rescaled_as_fractions(f):
+    """g_k's coefficients rounded through Fraction arithmetic, the plain reading of c/(2k)^s."""
+    return ComplexPoly.from_coefficients(float(c / Fraction(2 * f.k) ** s) for s, c in enumerate(f.coeffs))
+
+
+def test_scaled_coefficients_round_like_the_fraction_quotient(monkeypatch):
+    # both roundings are correct, so every double must agree bit for bit
+    monkeypatch.setattr(roots, "find_roots", lambda g, tol: g)
+    rng = random.Random(17)
+    for trial in range(400):
+        d = rng.randint(1, 20)
+        k = 12 * rng.randint(d, 10 ** rng.randint(2, 8)) + rng.choice((0, 4, 6, 8, 10, 14))
+        m = decompose_weight(k).ell - d
+        if trial % 2:
+            a = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(d)]
+            spec = custom_form_spec(k, m, a)
+        else:
+            spec = miller_form_spec(k, m)
+        f = faber_polynomial(spec)
+        got = [c.real.hex() for c in scaled_faber_roots(f).coeffs]
+        assert got == [c.real.hex() for c in _rescaled_as_fractions(f).coeffs], (k, m)
+
+
+@pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3), Fraction(-(10**400), 7)])
+def test_scaled_coefficient_beyond_double_range_is_domain_error(big):
+    f = FaberPoly(k=24, m=1, coeffs=(1, big))
+    with pytest.raises(DomainError, match="coefficients must be finite"):
+        scaled_faber_roots(f)
