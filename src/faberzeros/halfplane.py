@@ -3,9 +3,9 @@
 The nontrivial zeros of a form are the pullbacks of its Faber roots
 through j.  In the large-weight regime those roots are huge, the nome
 q = e^{2 pi i tau} is tiny, and a short truncation of the q-expansion of
-j inverts accurately by Newton iteration in q.  Roots below |t| = 2000
-are outside that comfort zone and are refused rather than inverted with
-fabricated precision.
+j inverts accurately by Newton iteration in q, run to the rounding floor
+of double precision.  Roots below |t| = 2000 are outside that comfort
+zone and are refused rather than inverted with fabricated precision.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from .errors import DomainError, NumericalError
 from .faber import FaberPoly, faber_polynomial, horner
 from .modforms import ModularFormSpec
 from .qseries import j_series
-from .roots import _check_tolerance, _phase, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros
+from .roots import (
+    _check_tolerance, _horner_pair, _phase, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros,
+)
 
 __all__ = [
     "MIN_J_MODULUS",
@@ -107,25 +109,17 @@ def evaluate_j(tau, terms: int = 32) -> JEvaluation:
     return JEvaluation(value=value, tail_bound=_tail_estimate(coeffs[-1], abs(q), terms - 2))
 
 
-def _j_and_derivative(coeffs, q):
-    j = coeffs[0] / q
-    dj = -coeffs[0] / (q * q)
-    qpow = 1.0 + 0j
-    for n in range(1, len(coeffs)):
-        c = coeffs[n]
-        j += c * qpow  # q^(n-1)
-        if n >= 2:
-            dj += c * (n - 1) * qpow / q
-        qpow *= q
-    return j, dj
-
-
 def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     """Solve j(tau) = t by Newton iteration in the nome, for 2000 <= |t| <= 1e150.
 
     The truncation length is grown until the series tail is negligible
-    against tol * |t|; the iteration starts from q = 1/t.  The real part
-    of the result is normalized into [-1/2, 1/2).
+    against tol * |t|; the iteration starts from q = 1/t.  Each step takes
+    j = c_0/q + P(q) and dj/dq = P'(q) - c_0/q^2 from one Horner pass over
+    the unit part P.  Newton runs to the rounding floor: once the residual
+    |j(q) - t| is within tol * |t| / 2 it goes on while the residual at
+    least halves, and keeps the better of the last two iterates; a final
+    residual above tol * |t| raises NumericalError.  The real part of the
+    result is normalized into [-1/2, 1/2).
     """
     _check_tolerance(tol)
     t = complex(t)
@@ -145,15 +139,22 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
             raise NumericalError(f"series tail will not reach tolerance {tol:.1e}")
         terms += 8
 
+    c0 = coeffs[0]
+    unit_part = coeffs[:0:-1]  # P(q) = sum c_n q^(n-1), descending
     q = 1.0 / t
     residual = math.inf
     for _ in range(60):
-        jv, djv = _j_and_derivative(coeffs, q)
-        residual = abs(jv - t)
-        if residual <= 0.5 * target:
+        p, dp = _horner_pair(unit_part, q)
+        jv = c0 / q + p
+        last, residual = residual, abs(jv - t)
+        if residual == 0 or (residual <= 0.5 * target and residual > 0.5 * last):
+            if residual > last:  # the rounding floor, and the last step made it worse
+                q, residual = last_q, last
             break
+        djv = dp - c0 / (q * q)
         if djv == 0:
             raise NumericalError("vanishing derivative during Newton iteration", best=q)
+        last_q = q
         q = q - (jv - t) / djv
         if not (0 < abs(q) < 1):
             raise NumericalError(f"Newton iterate left the unit disk: |q| = {abs(q):.3g}", best=q)
@@ -276,8 +277,9 @@ class ZeroReport:
 def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) -> ZeroReport:
     """The report pairing the actual zeros of f / E_{k'} with their predictions.
 
-    F is solved once and kept as ``report.faber``.  Its roots are matched
-    against the rescaled inverse zeros and pulled back through j; each actual
+    F is solved once and kept as ``report.faber``; the solve of g_k starts
+    at the inverse zeros z_{D,r}, the roots' limits.  Its roots are matched
+    against those limits and pulled back through j; each actual
     tau satisfies |F(j(tau))| <= tol * max |F coeff|.  Row errors are
     |tau_r - tau_hat_r| (seam-aware) with k * err alongside, plus the t-scale
     displacement |t_r - 2k z_{D,r}|.  With strict=True any root outside the
@@ -292,8 +294,8 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     if d == 0:
         return ZeroReport(faber=f, rows=())
 
-    scaled = scaled_faber_roots(f, tol=tol)
     limits = truncated_exp_inverse_zeros(d, tol=tol)
+    scaled = scaled_faber_roots(f, tol=tol, start=limits.roots)
     pairing = match_roots(scaled.roots, limits.roots)
     root_for_limit = {j: scaled.roots[i] for i, j in pairing.pairs}
 

@@ -4,7 +4,10 @@ Aberth-Ehrlich simultaneous iteration covers the tiny degrees that occur
 here (D up to ~20).  Faber polynomials are never solved directly in the
 t variable: coefficients like (2k)^s/s! span too many magnitudes, so the
 roots are found on the rescaled g_k(z) = F(2k z)/(2k)^D and mapped back,
-which keeps the conditioning uniform in k.
+which keeps the conditioning uniform in k.  A solve starts from a fixed
+circle unless the caller passes its own starts; the zero report passes
+the inverse zeros z_{D,r} of the truncated exponential, which the roots
+of g_k approach as k grows.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ class ComplexPoly:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All roots of a polynomial (each listed once), sorted by argument then modulus.
+    """All roots of a polynomial (each listed once), sorted by argument then
+    modulus unless the solve was given its starts (then in their order).
 
     ``residual`` is max |p(root)| over the set, measured against the
     polynomial the roots were certified on.
@@ -113,13 +117,30 @@ def _horner_pair(coeffs, z):
     return p, dp
 
 
-def find_roots(p: ComplexPoly, tol: float = 1e-10) -> RootSet:
+def _starts(start, n: int) -> list[complex]:
+    """Caller-given Aberth starts as n finite complex numbers, or DomainError."""
+    try:
+        z = [complex(s) for s in start]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"start points must be complex numbers: {exc}") from None
+    if len(z) != n:
+        raise DomainError(f"need {n} start points for degree {n}, got {len(z)}")
+    if not all(math.isfinite(s.real) and math.isfinite(s.imag) for s in z):
+        raise DomainError("start points must be finite")
+    return z
+
+
+def find_roots(p: ComplexPoly, tol: float = 1e-10, *, start=None) -> RootSet:
     """All roots of p by Aberth-Ehrlich iteration in double precision, deterministically.
 
-    Initial guesses sit on a circle of radius (1 + sum |a_nu|)^(1/D) with a
-    fixed rotational offset; the iteration stops when no root moves by
-    more than 1e-15 relative, or after _MAX_ITER sweeps.  The residual
-    contract is max |p(root)| <= tol * max |coeff|; a miss raises
+    By default the initial guesses sit on a circle of radius
+    (1 + sum |a_nu|)^(1/D) with a fixed rotational offset, and the roots
+    come back sorted by argument then modulus.  ``start`` replaces the
+    circle by D finite points (anything else raises DomainError); the
+    roots then come back in the order of their starts, root i being the
+    iterate that started at start[i].  The iteration stops when no root
+    moves by more than 1e-15 relative, or after _MAX_ITER sweeps.  The
+    residual contract is max |p(root)| <= tol * max |coeff|; a miss raises
     NumericalError carrying the last iterates.
 
     The certificate is only achievable while (root bound)^D * eps stays
@@ -132,8 +153,11 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10) -> RootSet:
     n = p.degree
     coeffs = p.coeffs
     scale = max(abs(c) for c in coeffs)
-    radius = (1.0 + sum(abs(c) for c in coeffs[1:])) ** (1.0 / n)
-    z = [radius * cmath.exp(1j * (2 * math.pi * i / n + _ABERTH_OFFSET)) for i in range(n)]
+    if start is None:
+        radius = (1.0 + sum(abs(c) for c in coeffs[1:])) ** (1.0 / n)
+        z = [radius * cmath.exp(1j * (2 * math.pi * i / n + _ABERTH_OFFSET)) for i in range(n)]
+    else:
+        z = _starts(start, n)
 
     for _ in range(_MAX_ITER):
         moved = 0.0
@@ -169,7 +193,9 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10) -> RootSet:
         raise NumericalError(
             f"root finder residual {residual:.3e} exceeds {tol:.1e} * scale", best=tuple(z)
         )
-    return RootSet(roots=tuple(sorted(z, key=_sort_key)), residual=residual)
+    if start is None:
+        z.sort(key=_sort_key)
+    return RootSet(roots=tuple(z), residual=residual)
 
 
 def truncated_exp_poly(d: int) -> ComplexPoly:
@@ -258,19 +284,24 @@ def match_roots(a, b) -> Pairing:
     return Pairing(pairs=tuple(pairs), max_distance=threshold)
 
 
-def scaled_faber_roots(f: FaberPoly, *, tol: float = 1e-10) -> RootSet:
+def scaled_faber_roots(f: FaberPoly, *, tol: float = 1e-10, start=None) -> RootSet:
     """The roots z of the rescaled g_k(z) = F(2k z)/(2k)^D with k = f.k, one find_roots solve.
 
     Each coefficient c/(2k)^s of g_k is rounded to a double once, as the
     correctly rounded int quotient numerator / (denominator * (2k)^s).
-    The roots of F itself are t = 2k z (same order); the residual is the
+    The solve starts from ``start`` (D finite points, see find_roots)
+    when given, else from find_roots' circle; zero_report passes the
+    inverse zeros z_{D,r}, the limits of g_k's roots as k grows.  The
+    roots of F itself are t = 2k z (same order); the residual is the
     finder's, measured on g_k.
     """
     _check_tolerance(tol)
     if f.degree == 0:
+        if start is not None:
+            _starts(start, 0)
         return RootSet(roots=(), residual=0.0)
     two_k = 2 * f.k
     g = ComplexPoly.from_coefficients(
         c.numerator / (c.denominator * two_k**s) for s, c in enumerate(f.coeffs)
     )
-    return find_roots(g, tol=tol)
+    return find_roots(g, tol=tol, start=start)

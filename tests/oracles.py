@@ -2,7 +2,8 @@
 
 The faberzeros pipeline never calls anything here: these are the
 closed-form Faber polynomials for D <= 3, Ostrowski's root displacement
-bound, the companion-matrix eigenvalues of a monic polynomial, Horner
+bound, the companion-matrix eigenvalues of a monic polynomial, the
+roots of the exact rescaled Faber polynomial g_k at 60 digits, Horner
 evaluation of F at a q-series argument (used to rebuild
 f = Delta^ell E_{k'} F(j) exactly), membership in the standard
 fundamental domain, and the plain forms of three kernels: the dense
@@ -122,6 +123,15 @@ def companion_roots(coeffs) -> list[complex]:
         for i in range(1, d):
             companion[i, i - 1] = 1
         return [complex(z) for z in mpmath.eig(companion, left=False, right=False)]
+
+
+def scaled_roots_oracle(f: FaberPoly, dps: int = 60) -> list[complex]:
+    """The roots z of the exact g_k(z) = F(2k z)/(2k)^D, by mpmath.polyroots
+    at ``dps`` digits on coefficients c/(2k)^s taken from the exact c."""
+    two_k = 2 * f.k
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpf(c.numerator) / (c.denominator * two_k**s) for s, c in enumerate(f.coeffs)]
+        return [complex(z) for z in mpmath.polyroots(coeffs, maxsteps=100, extraprec=dps)]
 
 
 def plus_constant(series: TruncatedSeries, c) -> TruncatedSeries:

@@ -36,11 +36,11 @@ GOLDEN = [
     ("faber --k 2400 --m last-8 --format pretty", 0,
      "1fa2e6dcb0ddc96b0cb19550b8a81021f89852455eddfc0ceae4b5d0939c586e"),
     ("zeros --k 240000 --m last-8 --format json", 0,
-     "f07ef507cb2cc5a3a52d3cdbe14913974bf0d85b7cc534dad2068caa41e0f463"),
+     "968f41f3ba6d18459ec4db62903892b4a754b8c7ee75d198c696cc59ba41d27b"),
     ("zeros --k 240000 --m last-8 --format csv", 0,
-     "0cbae19021bacccd93197c39a666863e015d1c6ee3790cfd169ad63c27b8a0a3"),
+     "d222f2312a43081e6b22036ae1d667746dcd5d3461b6672eba2137891e4ddafa"),
     ("zeros --k 240000 --m last-8 --format pretty", 0,
-     "cceedd1bb312325ae1a39b8ffdd62cf5179f5245c386d0a8c0173a28a3d5e376"),
+     "04a1bb1240f9c83c0543289cb5dddc0ea6b07a8df7c7efd5227a7d52142dc8fd"),
     ("exp-zeros --D 8 --format json", 0,
      "046f07b08b62b1614759a45e919cfc29688f98acd3d0c4ce3b256dc120d8bcb5"),
     ("exp-zeros --D 8 --format csv", 0,
@@ -60,11 +60,11 @@ GOLDEN = [
     ("figure --D 4 --k-min 2000 --k-max 4000 --format pretty", 0,
      "4bab2c6ab04c97bba8c08d6766fcfd082ad5d2e55ec66da08899b296d840a5d6"),
     ("verify --D 4 --k-min 2400 --k-max 19200 --format json", 0,
-     "6975dd4f0e8e4e3bb08491f4f04728bb1a1ae824638bb3149b576933f06ff35e"),
+     "5e53392d40169d48fd483186d14985ace61a06a325ec659e1b77faa4eeb87d65"),
     ("verify --D 4 --k-min 2400 --k-max 19200 --format csv", 0,
-     "a4cf05c0ea3733f5907ba1df2088248a3c844dfe33cb596361c6c05e19f4c62e"),
+     "0c29f38a93500342192c775cd014c0434896a4b81e00800f7213fc2b08ef786f"),
     ("verify --D 4 --k-min 2400 --k-max 19200 --format pretty", 0,
-     "113b9fccedca60949ca5ac3301a73d700d137b5454f3992de9a7abebffd229e0"),
+     "f540e2bddcac3e313b92d5d4edf745542307a38393cf1eb3205970882563a9ad"),
     ("basis --k 48 --format json", 0,
      "3a760c81b79cbe23ffd895816515aa759a7546f697714743395be992176dc5d5"),
     ("basis --k 48 --format csv", 0,
@@ -91,15 +91,16 @@ GOLDEN = [
     ("basis --k 240 --format pretty", 0,
      "6215183e86dfcd966d02dc87353c3f649b86cc7b8f1f572df1f7363076a42bf4"),
     ("zeros --k 240000 --m last-21", 0,
-     "bb22b15559003258dc067596236034aea6b7f93cb8d3d5a763d81847ba95533b"),
-    ("zeros --k 24 --m 0", 0, "674e92bb1806bc2dde8eedbc1595ad91de1c9b2f632e9abc8f4d7903b6f71497"),
-    ("verify --D 8 --k-min 2400 --k-max 614400", 3, EMPTY),
+     "fb8dd2eb14370544b0b8603099afb0e39f6dfd908492e7db0c3f242a1c8d65ec"),
+    ("zeros --k 24 --m 0", 0, "22ba0970d43dd68b8cbae66f152183c1aa6f3ee3088a70377c3c5243b0a49bbd"),
+    ("verify --D 8 --k-min 2400 --k-max 614400", 1,
+     "d36604dca1c1c2ac2ddb0b4f18f63dc8a87cd8acb02fbeb89c8ef4db3f508c15"),
     ("verify --D 8 --k-min 1316 --k-max 25000000", 1,
-     "35d18022d5ee7da40e1565ac204d5a7089337c7a78ba76195e93a34d15eaf45b"),
+     "e286d49bdd6cb59274ba194a2a7dc4d7dc7e54c497a579b71d7a341600be9c22"),
     ("verify --D 8 --k-min 1316 --k-max 25000000 --format json", 1,
-     "254df908af397e0cbe494cb3578d7d56e2eced2e99cccb09a6255229026db9d3"),
+     "d0f243fc184e51601696b53e3d41925760feaa107005ab8e75d05ccd01f3b538"),
     ("verify --D 8 --k-min 1316 --k-max 25000000 --format csv", 1,
-     "a2a1228132a45df7cf8b6b5d622e4413f7a8b8035cfa0c3bb9cafc685983f2c7"),
+     "feaa88e3ed8b355d100ee0e4c2e71b645f0ed745640f5b2c9294cb0bbc4e1827"),
     ("exp-zeros --D 21", 0, "11b3d1a09e5da3ec7d1a96c1c9c968853c062eaf1fe2ce6525f4f69e03cbb62e"),
     ("exp-zeros --D 22", 3, EMPTY),
     ("exp-zeros --D 171", 2, EMPTY),

@@ -26,7 +26,7 @@ from faberzeros.halfplane import (
     zero_report,
 )
 from faberzeros.modforms import decompose_weight, miller_form_spec
-from faberzeros.roots import truncated_exp_inverse_zeros
+from faberzeros.roots import scaled_faber_roots, truncated_exp_inverse_zeros
 from oracles import in_fundamental_domain
 
 
@@ -122,6 +122,16 @@ def test_invert_j_round_trip_samples():
         back = invert_j(t)
         assert abs(back.tau - tau) <= 1e-8
         checked += 1
+
+
+@pytest.mark.parametrize(("k", "d"), [(4002, 5), (19412, 6), (25824, 9), (1073132, 21)])
+def test_zero_report_inverts_j_to_the_rounding_floor(k, d):
+    # Newton stopped at |j(tau) - t| <= tol |t| / 2 refused these roots in zero_report's own
+    # check |F(j(tau))| <= tol * max |F coeff|; each tau now reproduces t to rounding
+    report = zero_report(miller_form_spec(k, decompose_weight(k).ell - d))
+    assert len(report.rows) == d
+    for row in report.rows:
+        assert abs(j_oracle(row.tau.tau) - row.t) <= 1e-14 * abs(row.t), row
 
 
 def test_invert_j_refuses_small_modulus():
@@ -344,6 +354,25 @@ def test_zero_report_conjugate_pair_degree_two():
     assert abs(res[0] - (-0.375)) < 1e-3
     assert abs(res[1] - 0.375) < 1e-3
     assert abs(res[0] + res[1]) < 1e-9  # conjugate real parts
+
+
+@pytest.mark.parametrize(
+    ("d", "k"),
+    [
+        (1, 16628702), (2, 23774608), (3, 17535710), (4, 23336078), (5, 18505484), (6, 15928430),
+        (7, 22018280), (8, 16478720), (9, 19668316), (10, 18429500), (11, 15156808),
+        (12, 23083532), (13, 17573576), (14, 16369300), (15, 23932844), (16, 23574140),
+        (17, 19164764), (18, 21342830), (19, 19656518), (20, 20723420), (21, 14141368),
+    ],
+)
+def test_zero_report_row_r_holds_the_root_solved_from_limit_r(d, k):
+    # the largest screened weight per degree; below k ~ 2e4 the bottleneck pairing
+    # may still give limit r a root whose solve started at another limit
+    report = zero_report(miller_form_spec(k, decompose_weight(k).ell - d))
+    limits = truncated_exp_inverse_zeros(d).roots
+    solved = scaled_faber_roots(report.faber, start=limits).roots
+    assert [row.t for row in report.rows] == [2 * k * z for z in solved]
+    assert [row.tau_hat for row in report.rows] == [predicted_zero(k, z) for z in limits]
 
 
 def test_verify_predictions_row_contract():

@@ -1,6 +1,7 @@
 """Root finding, truncated-exponential zeros, matching, and the Ostrowski bound."""
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -21,7 +22,7 @@ from faberzeros.roots import (
     truncated_exp_inverse_zeros,
     truncated_exp_poly,
 )
-from oracles import companion_roots, ostrowski_bound
+from oracles import companion_roots, ostrowski_bound, scaled_roots_oracle
 
 
 def brute_force_pairing(xs, ys):
@@ -392,7 +393,7 @@ def _rescaled_as_fractions(f):
 
 def test_scaled_coefficients_round_like_the_fraction_quotient(monkeypatch):
     # both roundings are correct, so every double must agree bit for bit
-    monkeypatch.setattr(roots, "find_roots", lambda g, tol: g)
+    monkeypatch.setattr(roots, "find_roots", lambda g, tol, start: g)
     rng = random.Random(17)
     for trial in range(400):
         d = rng.randint(1, 20)
@@ -413,3 +414,84 @@ def test_scaled_coefficient_beyond_double_range_is_domain_error(big):
     f = FaberPoly(k=24, m=1, coeffs=(1, big))
     with pytest.raises(DomainError, match="coefficients must be finite"):
         scaled_faber_roots(f)
+
+
+# --- Aberth starts ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "start",
+    [[], [1j], [1, 2, 3], [0.5, math.nan], [0.5, complex(1, math.inf)], ["x", 1], 5],
+    ids=["empty", "short", "long", "nan", "inf", "not-a-number", "not-iterable"],
+)
+def test_bad_starts_are_domain_errors(start):
+    with pytest.raises(DomainError, match="start points"):
+        find_roots(ComplexPoly.from_coefficients([1, 0, 1]), start=start)
+    f = faber_polynomial(miller_form_spec(240000, decompose_weight(240000).ell - 2))
+    with pytest.raises(DomainError, match="start points"):
+        scaled_faber_roots(f, start=start)
+
+
+def test_degree_zero_takes_only_an_empty_start():
+    f = faber_polynomial(miller_form_spec(24, 2))
+    assert scaled_faber_roots(f, start=()).roots == ()
+    with pytest.raises(DomainError, match="need 0 start points"):
+        scaled_faber_roots(f, start=[1j])
+
+
+def test_default_start_is_the_circle():
+    p = truncated_exp_poly(7)
+    n = p.degree
+    radius = (1.0 + sum(abs(c) for c in p.coeffs[1:])) ** (1.0 / n)
+    circle = [radius * cmath.exp(1j * (2 * math.pi * i / n + roots._ABERTH_OFFSET)) for i in range(n)]
+    from_circle = find_roots(p, start=circle)
+    assert tuple(sorted(from_circle.roots, key=roots._sort_key)) == find_roots(p).roots
+    assert from_circle.residual == find_roots(p).residual
+
+
+def test_roots_come_back_in_start_order():
+    p = ComplexPoly.from_coefficients([1, 0, 0, -1])  # the cube roots of unity
+    units = [cmath.exp(2j * math.pi * i / 3) for i in range(3)]
+    for start in ([1.1, -0.6 + 0.8j, -0.6 - 0.8j], [-0.6 - 0.8j, 1.1, -0.6 + 0.8j]):
+        got = find_roots(p, start=start).roots
+        assert [min(range(3), key=lambda i: abs(z - units[i])) for z in got] == [
+            min(range(3), key=lambda i: abs(s - units[i])) for s in start
+        ]
+        assert max(abs(z**3 - 1) for z in got) < 1e-14
+
+
+def test_truncated_exp_inverse_zeros_are_pinned_bit_for_bit():
+    # the circle solve behind figure, predict and exp-zeros, d = 1..21
+    text = "".join(
+        f"{d} {z.real.hex()} {z.imag.hex()}\n" for d in range(1, 22) for z in truncated_exp_inverse_zeros(d).roots
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "577fc9be2ed94e43d6101ad807d2e87788cf0f1e335e2c0ed83be29bf452fdf5"
+    )
+
+
+# Screened Miller weights (perfbench/cells.json): the smallest at every D, where
+# g_k's roots lie farthest from their limits, and the median and largest at D <= 12.
+ACCURACY_WEIGHTS = {
+    1: (3706, 253182, 16628702), 2: (3672, 367062, 23774608), 3: (2718, 248110, 17535710),
+    4: (2442, 264282, 23336078), 5: (2410, 267886, 18505484), 6: (2766, 222626, 15928430),
+    7: (3126, 163364, 22018280), 8: (2434, 243228, 16478720), 9: (2742, 256980, 19668316),
+    10: (3250, 299170, 18429500), 11: (2604, 223562, 15156808), 12: (3346, 328974, 23083532),
+    13: (2634,), 14: (2662,), 15: (2866,), 16: (2634,), 17: (2710,), 18: (2454,), 19: (3300,),
+    20: (2826,), 21: (3492,),
+}
+
+
+@pytest.mark.parametrize("d", sorted(ACCURACY_WEIGHTS))
+def test_starts_at_the_limits_keep_the_roots_as_accurate_as_the_circle(d):
+    # the circle is the only start before zero_report passed the limits, so it is the baseline
+    limits = truncated_exp_inverse_zeros(d).roots
+    worst = {"circle": 0.0, "limits": 0.0}
+    for k in ACCURACY_WEIGHTS[d]:
+        f = faber_polynomial(miller_form_spec(k, decompose_weight(k).ell - d))
+        exact = scaled_roots_oracle(f)
+        for name, start in (("circle", None), ("limits", limits)):
+            got = scaled_faber_roots(f, start=start).roots
+            worst[name] = max(worst[name], max(min(abs(z - e) for e in exact) for z in got))
+    assert worst["circle"] < 1e-11, worst
+    assert worst["limits"] <= 2 * worst["circle"], worst
