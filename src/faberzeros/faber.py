@@ -39,11 +39,12 @@ __all__ = [
 
 
 def horner(coeffs, x):
-    """p(x) for descending ``coeffs``; exact when the coefficients and x are."""
-    acc = 0
+    """(p(x), p'(x)) for descending ``coeffs`` in one pass; exact when the coefficients and x are."""
+    p = dp = 0
     for c in coeffs:
-        acc = acc * x + c
-    return acc
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ from .faber import FaberPoly, faber_polynomial, horner
 from .modforms import ModularFormSpec
 from .qseries import j_series
 from .roots import (
-    _check_tolerance, _horner_pair, _phase, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros,
+    _check_tolerance, _phase, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros,
 )
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "MAX_J_MODULUS",
     "MIN_IM_FOR_SERIES",
     "HalfPlanePoint",
-    "JEvaluation",
     "ZeroReportRow",
     "ZeroReport",
     "evaluate_j",
@@ -42,6 +41,10 @@ MIN_J_MODULUS = 2000.0  # below this, Newton inversion of the truncated series i
 MAX_J_MODULUS = 1e150  # above this, q^2 ~ 1/t^2 in the Newton step is no longer a normal double
 MIN_IM_FOR_SERIES = 0.8  # guarantees |q| <= e^(-1.6 pi), fast tail decay
 _BOUNDARY_EPS = 1e-12
+# invert_j's terms of j: its roots have |q| <= 2/|t| <= 1e-3, where by Brisebarre-Philibert,
+# c(n) <= e^(4 pi sqrt(n)) / (sqrt(2) n^(3/4)), the omitted tail sum_{n>=15} c(n) |q|^n is
+# below 1e-24, under a thousandth of the smallest residual target eps * 2000
+_INVERT_TERMS = 16
 
 OUT_OF_REGIME = "outside inversion regime"
 
@@ -69,32 +72,21 @@ class HalfPlanePoint:
         _upper_half_plane(self.tau)
 
 
-@dataclass(frozen=True, slots=True)
-class JEvaluation:
-    """A truncated evaluation of j together with a tail-size estimate."""
-
-    value: complex
-    tail_bound: float
-
-
-def _tail_estimate(last_coeff: float, q_abs: float, n_last: int) -> float:
-    # coefficient growth ~ e^(4 pi sqrt(n)); treat the first omitted ratio
-    # as constant, which overstates later ratios (sqrt is concave).
-    growth = math.exp(4 * math.pi * (math.sqrt(n_last + 1) - math.sqrt(max(n_last, 1))))
-    r = q_abs * growth
-    if r >= 1.0:
-        return math.inf
-    return abs(last_coeff) * q_abs**n_last * r / (1.0 - r)
+def _j_at(q: complex, coeffs) -> tuple[complex, complex]:
+    """j = c_0/q + P(q) and dj/dq = P'(q) - c_0/q^2 from j's first coefficients
+    ``coeffs`` (starting at q^-1), with one Horner pass over the unit part P."""
+    c0 = coeffs[0]
+    p, dp = horner(coeffs[:0:-1], q)  # P(q) = sum c_n q^(n-1), descending
+    q2 = q * q  # 0 once |q| < 1e-162, where |dj/dq| is past the double range: inf
+    return c0 / q + p, dp - c0 / q2 if q2 else math.inf
 
 
-def evaluate_j(tau, terms: int = 32) -> JEvaluation:
+def evaluate_j(tau: complex, terms: int = 32) -> complex:
     """Partial sum of j's q-expansion with ``terms`` coefficients, at tau.
 
-    Requires Im(tau) >= 0.8 (reduce first if necessary).  The returned
-    tail bound is a geometric estimate from the last retained coefficient.
+    Requires Im(tau) >= 0.8 (reduce first if necessary); a tau so high
+    that q underflows or j overflows the double range raises DomainError.
     """
-    if isinstance(tau, HalfPlanePoint):
-        tau = tau.tau
     tau = _upper_half_plane(tau)
     if tau.imag < MIN_IM_FOR_SERIES:
         raise DomainError(
@@ -102,24 +94,26 @@ def evaluate_j(tau, terms: int = 32) -> JEvaluation:
         )
     if terms < 2:
         raise DomainError("evaluate_j needs at least the q^-1 and q^0 terms")
-    coeffs = _j_coefficients(terms)
     q = cmath.exp(2j * math.pi * tau)
-    # Horner over the unit part, then add the pole term
-    value = horner(coeffs[:0:-1], q) + coeffs[0] / q
-    return JEvaluation(value=value, tail_bound=_tail_estimate(coeffs[-1], abs(q), terms - 2))
+    if q == 0:
+        raise DomainError(f"q underflows to 0 at Im(tau) = {tau.imag}: j exceeds the double range")
+    value = _j_at(q, _j_coefficients(terms))[0]
+    if not cmath.isfinite(value):
+        raise DomainError(f"j exceeds the double range at Im(tau) = {tau.imag}")
+    return value
 
 
 def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     """Solve j(tau) = t by Newton iteration in the nome, for 2000 <= |t| <= 1e150.
 
-    The truncation length is grown until the series tail is negligible
-    against tol * |t|; the iteration starts from q = 1/t.  Each step takes
-    j = c_0/q + P(q) and dj/dq = P'(q) - c_0/q^2 from one Horner pass over
-    the unit part P.  Newton runs to the rounding floor: once the residual
-    |j(q) - t| is within tol * |t| / 2 it goes on while the residual at
-    least halves, and keeps the better of the last two iterates; a final
-    residual above tol * |t| raises NumericalError.  The real part of the
-    result is normalized into [-1/2, 1/2).
+    Sixteen terms of j's series suffice on this whole domain (see
+    _INVERT_TERMS); the iteration starts from q = 1/t and takes j and
+    dj/dq from one Horner pass per step.  Newton runs to the rounding
+    floor: once the residual |j(q) - t| is within tol * |t| / 2 it goes
+    on while the residual at least halves, and keeps the better of the
+    last two iterates; a final residual above tol * |t| raises
+    NumericalError.  The real part of the result is normalized into
+    [-1/2, 1/2).
     """
     _check_tolerance(tol)
     t = complex(t)
@@ -128,30 +122,16 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     if not abs(t) <= MAX_J_MODULUS:  # also refuses inf and nan
         raise DomainError(f"|t| = {abs(t):.6g} is not <= {MAX_J_MODULUS:.0e}: q^2 would underflow")
     target = tol * abs(t)
-
-    terms = 16
-    while True:
-        coeffs = _j_coefficients(terms)
-        tail = _tail_estimate(coeffs[-1], 1.2 / abs(t), terms - 2)
-        if tail <= 1e-3 * target:
-            break
-        if terms >= 160:
-            raise NumericalError(f"series tail will not reach tolerance {tol:.1e}")
-        terms += 8
-
-    c0 = coeffs[0]
-    unit_part = coeffs[:0:-1]  # P(q) = sum c_n q^(n-1), descending
+    coeffs = _j_coefficients(_INVERT_TERMS)
     q = 1.0 / t
     residual = math.inf
     for _ in range(60):
-        p, dp = _horner_pair(unit_part, q)
-        jv = c0 / q + p
+        jv, djv = _j_at(q, coeffs)
         last, residual = residual, abs(jv - t)
         if residual == 0 or (residual <= 0.5 * target and residual > 0.5 * last):
             if residual > last:  # the rounding floor, and the last step made it worse
                 q, residual = last_q, last
             break
-        djv = dp - c0 / (q * q)
         if djv == 0:
             raise NumericalError("vanishing derivative during Newton iteration", best=q)
         last_q = q
@@ -171,8 +151,6 @@ def reduce_to_fundamental_domain(tau: complex) -> HalfPlanePoint:
     Boundary conventions: Re in [-1/2, 1/2), and points on the unit
     circle are sent to the Re <= 0 half of the arc.
     """
-    if isinstance(tau, HalfPlanePoint):
-        tau = tau.tau
     tau = _upper_half_plane(tau)
     x, y = tau.real, tau.imag
     for _ in range(500):
@@ -325,7 +303,7 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
             )
             continue
         tau = invert_j(t, tol=tol)
-        value = horner(f_float, evaluate_j(tau.tau, terms=32).value)
+        value = horner(f_float, evaluate_j(tau.tau, terms=32))[0]
         if abs(value) > tol * f_scale:
             raise NumericalError(
                 f"|F(j(tau))| = {abs(value):.3e} exceeds {tol:.1e} * scale at root {t:.6g}"

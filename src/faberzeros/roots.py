@@ -107,16 +107,6 @@ class RootSet:
     residual: float
 
 
-def _horner_pair(coeffs, z):
-    """Evaluate p and p' together."""
-    p = 0j
-    dp = 0j
-    for c in coeffs:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
 def _starts(start, n: int) -> list[complex]:
     """Caller-given Aberth starts as n finite complex numbers, or DomainError."""
     try:
@@ -162,7 +152,7 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, *, start=None) -> RootSet:
     for _ in range(_MAX_ITER):
         moved = 0.0
         for i in range(n):
-            pv, dpv = _horner_pair(coeffs, z[i])
+            pv, dpv = horner(coeffs, z[i])
             if pv == 0:
                 continue
             if dpv == 0:
@@ -188,7 +178,7 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, *, start=None) -> RootSet:
         if moved <= _CONVERGED:
             break
 
-    residual = max(abs(horner(coeffs, zi)) for zi in z)
+    residual = max(abs(horner(coeffs, zi)[0]) for zi in z)
     if not residual <= tol * scale:  # also refuses a NaN residual
         raise NumericalError(
             f"root finder residual {residual:.3e} exceeds {tol:.1e} * scale", best=tuple(z)
@@ -223,7 +213,7 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     t_roots = find_roots(truncated_exp_poly(d), tol=tol)
     inv = sorted((1.0 / t for t in t_roots.roots), key=_sort_key)
     g = [1.0 / math.factorial(r) for r in range(d + 1)]
-    residual = max(abs(horner(g, z)) for z in inv)
+    residual = max(abs(horner(g, z)[0]) for z in inv)
     if not residual <= tol:  # also refuses a NaN residual
         raise NumericalError(f"inverse-zero residual {residual:.3e} exceeds {tol:.1e}", best=tuple(inv))
     return RootSet(roots=tuple(inv), residual=residual)

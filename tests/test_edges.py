@@ -160,20 +160,41 @@ def test_invert_j_tolerance_is_respected():
         tau = invert_j(t, tol=tol).tau
         from faberzeros.halfplane import evaluate_j
 
-        assert abs(evaluate_j(tau, terms=40).value - t) <= tol * abs(t)
+        assert abs(evaluate_j(tau, terms=40) - t) <= tol * abs(t)
 
 
 def test_faber_evaluate_both_scalar_types():
     poly = faber_polynomial(miller_form_spec(24, 0))
-    assert horner(poly.coeffs, Fraction(0)) == 125280
-    assert horner(poly.coeffs, Fraction(1)) == 1 - 1440 + 125280
+    assert horner(poly.coeffs, Fraction(0))[0] == 125280
+    assert horner(poly.coeffs, Fraction(1))[0] == 1 - 1440 + 125280
     root = 720 + (720**2 - 125280) ** 0.5
-    assert abs(horner(poly.coeffs, complex(root))) < 1e-6 * 125280
+    assert abs(horner(poly.coeffs, complex(root))[0]) < 1e-6 * 125280
     # int input stays exact, far beyond the range of a float
     big = 10**400
-    value = horner(poly.coeffs, big)
+    value = horner(poly.coeffs, big)[0]
     assert type(value) is int
     assert value == big**2 - 1440 * big + 125280
+
+
+def test_horner_returns_value_and_derivative_from_one_pass():
+    poly = faber_polynomial(miller_form_spec(24, 0))  # F = t^2 - 1440 t + 125280
+    big = 10**400
+    value, slope = horner(poly.coeffs, big)
+    assert type(value) is int and type(slope) is int
+    assert (value, slope) == (big**2 - 1440 * big + 125280, 2 * big - 1440)
+    x = Fraction(-7, 3)
+    value, slope = horner(poly.coeffs, x)
+    assert type(value) is Fraction and type(slope) is Fraction
+    assert (value, slope) == (x**2 - 1440 * x + 125280, 2 * x - 1440)
+    coeffs = (1, Fraction(1, 2), -3, 0, 5)  # x^4 + x^3/2 - 3x^2 + 5
+    x = Fraction(2, 5)
+    want = (x**4 + x**3 / 2 - 3 * x**2 + 5, 4 * x**3 + Fraction(3, 2) * x**2 - 6 * x)
+    assert horner(coeffs, x) == want
+    z = complex(0.5, -1.25)
+    value, slope = horner(coeffs, z)
+    assert abs(value - (z**4 + z**3 / 2 - 3 * z**2 + 5)) <= 1e-14 * 10
+    assert abs(slope - (4 * z**3 + 1.5 * z**2 - 6 * z)) <= 1e-14 * 10
+    assert horner((), z) == (0, 0) and horner((7,), z) == (7, 0)
 
 
 # --- library tolerance contract ----------------------------------------------------

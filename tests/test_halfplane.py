@@ -13,9 +13,9 @@ from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial
 from faberzeros.halfplane import (
     MAX_J_MODULUS,
+    MIN_J_MODULUS,
     OUT_OF_REGIME,
     HalfPlanePoint,
-    JEvaluation,
     ZeroReport,
     ZeroReportRow,
     _j_coefficients,
@@ -26,6 +26,7 @@ from faberzeros.halfplane import (
     zero_report,
 )
 from faberzeros.modforms import decompose_weight, miller_form_spec
+from faberzeros.qseries import j_series
 from faberzeros.roots import scaled_faber_roots, truncated_exp_inverse_zeros
 from oracles import in_fundamental_domain
 
@@ -40,15 +41,14 @@ def j_oracle(tau):
 
 def test_evaluate_j_at_2i():
     got = evaluate_j(2j)
-    assert abs(got.value - 287496) <= 1e-6 * 287496
-    assert got.tail_bound < 1e-100
+    assert abs(got - 287496) <= 1e-6 * 287496
 
 
 def test_evaluate_j_matches_oracle_on_samples():
     rng = random.Random(3)
     for _ in range(20):
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.5))
-        got = evaluate_j(tau, terms=40).value
+        got = evaluate_j(tau, terms=40)
         want = j_oracle(tau)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -56,15 +56,8 @@ def test_evaluate_j_matches_oracle_on_samples():
 def test_evaluate_j_dominant_term_structure():
     # q = 1e-6 on the real axis: j ~ 1/q + 744 with O(0.2) remainder
     tau = complex(0.0, -math.log(1e-6) / (2 * math.pi))
-    got = evaluate_j(tau).value
+    got = evaluate_j(tau)
     assert abs(got - (1e6 + 744)) < 0.5
-
-
-def test_evaluate_j_tail_bound_is_honest():
-    tau = complex(0.13, 1.1)
-    short = evaluate_j(tau, terms=12)
-    long = evaluate_j(tau, terms=60)
-    assert abs(short.value - long.value) <= short.tail_bound
 
 
 def test_evaluate_j_requires_height():
@@ -72,12 +65,25 @@ def test_evaluate_j_requires_height():
         evaluate_j(complex(0.0, 0.5))
 
 
+@pytest.mark.parametrize("height", [113, 120, 1e6])
+def test_evaluate_j_refuses_j_beyond_the_double_range(height):
+    # Im tau = 113 overflows 1/q to inf; from Im tau ~ 119 on, q itself underflows to 0
+    with pytest.raises(DomainError, match="double range"):
+        evaluate_j(complex(0.1, height))
+
+
+def test_evaluate_j_is_finite_just_below_the_double_range():
+    value = evaluate_j(complex(0.1, 100))
+    assert cmath.isfinite(value)
+    assert abs(value) > 1e272
+
+
 def test_evaluate_j_consistency_with_predicted_zero():
     # at the predicted zero for z = -1 the nome is exactly -1/(2k), so
     # j(tau_hat) = -2k + 744 - 196884/(2k) + 21493760/(2k)^2 - ...
     k = 1000
-    tau = predicted_zero(k, -1 + 0j)
-    val = evaluate_j(tau).value
+    tau = predicted_zero(k, -1 + 0j).tau
+    val = evaluate_j(tau)
     expansion = -2 * k + 744 - 196884 / (2 * k) + 21493760 / (2 * k) ** 2
     assert abs(val - expansion) < 1
     assert 0.5 * 2 * k < abs(val) < 1.1 * 2 * k
@@ -88,7 +94,7 @@ def test_evaluate_j_consistency_with_predicted_zero():
 
 def test_invert_j_round_trip_specific():
     tau0 = complex(0.1, 1.5)
-    t = evaluate_j(tau0, terms=40).value
+    t = evaluate_j(tau0, terms=40)
     if abs(t) >= 2000:
         back = invert_j(t)
         assert abs(back.tau - tau0) < 1e-10
@@ -106,7 +112,7 @@ def test_invert_j_heegner_point():
     expected = complex(-0.5, math.sqrt(163) / 2)
     assert abs(p.tau - expected) < 1e-12
     # and the series evaluation reproduces t to 12 digits
-    assert abs(evaluate_j(p.tau).value - t) <= 1e-12 * abs(t)
+    assert abs(evaluate_j(p.tau) - t) <= 1e-12 * abs(t)
 
 
 def test_invert_j_round_trip_samples():
@@ -116,7 +122,7 @@ def test_invert_j_round_trip_samples():
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 3.0))
         if not in_fundamental_domain(tau):
             continue
-        t = evaluate_j(tau, terms=48).value
+        t = evaluate_j(tau, terms=48)
         if abs(t) < 2000:
             continue
         back = invert_j(t)
@@ -134,6 +140,56 @@ def test_zero_report_inverts_j_to_the_rounding_floor(k, d):
         assert abs(j_oracle(row.tau.tau) - row.t) <= 1e-14 * abs(row.t), row
 
 
+# --- invert_j's truncation: sixteen terms of j's series ----------------------------------
+
+
+def _coefficient_bound(n):
+    """Brisebarre-Philibert (2005): c(n) <= e^(4 pi sqrt(n)) / (sqrt(2) n^(3/4)) for n >= 1."""
+    n = mpmath.mpf(n)
+    return mpmath.exp(4 * mpmath.pi * mpmath.sqrt(n)) / (mpmath.sqrt(2) * n ** mpmath.mpf(0.75))
+
+
+def test_coefficient_bound_holds_for_the_exact_j_coefficients():
+    coeffs = j_series(60).coeffs  # c(-1), c(0), ..., c(59)
+    with mpmath.workdps(40):
+        for n in range(1, 60):
+            assert 0 < coeffs[n + 1] <= _coefficient_bound(n), n
+
+
+def test_sixteen_terms_leave_a_tail_below_every_inversion_target():
+    # invert_j keeps c(-1)..c(14); its roots have |q| <= 2/|t| <= 2/MIN_J_MODULUS.  For n >= 15
+    # the ratio of consecutive bounds is at most e^(4 pi (sqrt(n+1) - sqrt(n))) |q| <=
+    # e^(2 pi / sqrt(15)) |q| = r, so the tail is at most bound(15) |q|^15 / (1 - r).  The
+    # smallest residual target is tol |t| with tol = eps and |t| = MIN_J_MODULUS; a tail a
+    # thousandth of it cannot move Newton's rounding floor.
+    with mpmath.workdps(40):
+        q = mpmath.mpf(2) / MIN_J_MODULUS
+        r = mpmath.exp(2 * mpmath.pi / mpmath.sqrt(15)) * q
+        assert r < 1
+        tail = _coefficient_bound(15) * q**15 / (1 - r)
+        assert tail < 1e-24
+        assert tail < 1e-3 * sys.float_info.epsilon * MIN_J_MODULUS
+
+
+@pytest.mark.parametrize(
+    "modulus", [MIN_J_MODULUS * (1 + 1e-12), 1e4, 1e9, 1e50, MAX_J_MODULUS * (1 - 1e-12)]
+)
+def test_invert_j_roots_have_small_nome(modulus):
+    # the tail bound above assumes |q| |t| <= 2 over invert_j's whole domain (the margin
+    # keeps cmath.rect's rounding of |t| inside it); at t = 2000 the root has |q| |t| = 1.91
+    worst = 0.0
+    for i in range(720):
+        t = cmath.rect(modulus, -math.pi + 2 * math.pi * i / 720)
+        worst = max(worst, math.exp(-2 * math.pi * invert_j(t).tau.imag) * abs(t))
+    assert worst <= 2
+
+
+def test_invert_j_root_at_2000_is_beyond_the_old_nome_estimate():
+    # the series tail was once estimated at |q| = 1.2/|t|, below this root's nome
+    q_abs = math.exp(-2 * math.pi * invert_j(MIN_J_MODULUS).tau.imag)
+    assert 1.9 < q_abs * MIN_J_MODULUS < 1.92
+
+
 def test_invert_j_refuses_small_modulus():
     with pytest.raises(DomainError, match=OUT_OF_REGIME):
         invert_j(1999.0)
@@ -148,7 +204,7 @@ def test_invert_j_refuses_huge_or_non_finite_modulus(t):
 def test_invert_j_at_the_modulus_ceiling():
     for t in (MAX_J_MODULUS, -MAX_J_MODULUS, 1j * MAX_J_MODULUS):
         tau = invert_j(t).tau
-        assert abs(evaluate_j(tau).value - t) <= 1e-10 * abs(t)
+        assert abs(evaluate_j(tau) - t) <= 1e-10 * abs(t)
 
 
 # --- reduction ---------------------------------------------------------------------
@@ -430,7 +486,7 @@ def test_line_clustering_and_height_law():
 def test_j_real_on_imaginary_axis():
     for i in range(20):
         y = 1.0 + i / 19.0
-        val = evaluate_j(complex(0.0, y)).value
+        val = evaluate_j(complex(0.0, y))
         assert abs(val.imag) <= 1e-8 * abs(val)
 
 
@@ -505,9 +561,8 @@ def test_report_dataclasses_are_slotted_and_frozen():
     row = ZeroReportRow(
         r=1, t=-23256 + 0j, tau=point, tau_hat=point, abs_err=0.0, k_times_err=0.0, t_gap=0.0
     )
-    evaluation = JEvaluation(value=744 + 0j, tail_bound=0.0)
     report = ZeroReport(faber=faber_polynomial(miller_form_spec(24, 1)), rows=(row,))
-    for obj in (point, evaluation, row, report):
+    for obj in (point, row, report):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         field = dataclasses.fields(obj)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
