@@ -290,7 +290,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for s in range(1, d + 1):
             coeff_rows[s].append(k * abs(devs[s]))
         for row in report.rows:
-            zero_rows[row.r].append(None if row.status == OUT_OF_REGIME else row.k_times_err)
+            zero_rows[row.r].append(row.k_times_err)
 
     def bounded(values) -> bool:
         limit = values[0] * Fraction(3, 2)

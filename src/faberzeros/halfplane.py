@@ -64,12 +64,12 @@ def _upper_half_plane(tau) -> complex:
 
 @dataclass(frozen=True, slots=True)
 class HalfPlanePoint:
-    """A point tau with finite Re(tau) and 0 < Im(tau) < inf."""
+    """A point tau with finite Re(tau) and 0 < Im(tau) < inf, stored as a complex."""
 
     tau: complex
 
     def __post_init__(self):
-        _upper_half_plane(self.tau)
+        object.__setattr__(self, "tau", _upper_half_plane(self.tau))
 
 
 def _j_at(q: complex, coeffs) -> tuple[complex, complex]:
@@ -216,8 +216,8 @@ def _seam_distance(a: complex, b: complex) -> float:
 class ZeroReportRow:
     """One matched triple: Faber root t, actual zero tau, predicted tau_hat.
 
-    ``tau`` is None (with ``status`` OUT_OF_REGIME) when |t| is too small
-    for trustworthy inversion; errors are seam-aware distances.
+    ``tau`` is None when |t| is too small for trustworthy inversion; then
+    ``status`` is OUT_OF_REGIME and the seam-aware errors are None too.
     ``t_gap`` is |t - 2k z_{D,r}|, the root's displacement from its
     rescaled limit (an O(1) quantity as the weight grows).
     """
@@ -229,7 +229,10 @@ class ZeroReportRow:
     abs_err: float | None
     k_times_err: float | None
     t_gap: float
-    status: str = "ok"
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.tau is not None else OUT_OF_REGIME
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +265,7 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     |tau_r - tau_hat_r| (seam-aware) with k * err alongside, plus the t-scale
     displacement |t_r - 2k z_{D,r}|.  With strict=True any root outside the
     inversion regime (|t| < 2000) raises DomainError; with strict=False such
-    rows carry status OUT_OF_REGIME and no actual tau (nothing is dropped).
+    rows carry no actual tau, hence status OUT_OF_REGIME (nothing is dropped).
     Rows are indexed by the inverse zeros' sorted order.
     """
     _check_tolerance(tol)
@@ -288,31 +291,25 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
         z_limit = limits.roots[r]
         t = 2 * k * root_for_limit[r]
         tau_hat = predicted_zero(k, z_limit)
-        t_gap = abs(t - 2 * k * z_limit)
-        if abs(t) < MIN_J_MODULUS:
-            if strict:
-                raise DomainError(
-                    f"{OUT_OF_REGIME}: root t_{r + 1} = {t:.6g} has |t| < {MIN_J_MODULUS:.0f} "
-                    f"(k = {k} too small for D = {d})"
+        tau = err = None
+        if abs(t) >= MIN_J_MODULUS:
+            tau = invert_j(t, tol=tol)
+            value = horner(f_float, evaluate_j(tau.tau, terms=32))[0]
+            if abs(value) > tol * f_scale:
+                raise NumericalError(
+                    f"|F(j(tau))| = {abs(value):.3e} exceeds {tol:.1e} * scale at root {t:.6g}"
                 )
-            rows.append(
-                ZeroReportRow(
-                    r=r + 1, t=t, tau=None, tau_hat=tau_hat, abs_err=None,
-                    k_times_err=None, t_gap=t_gap, status=OUT_OF_REGIME,
-                )
+            err = _seam_distance(tau.tau, tau_hat.tau)
+        elif strict:
+            raise DomainError(
+                f"{OUT_OF_REGIME}: root t_{r + 1} = {t:.6g} has |t| < {MIN_J_MODULUS:.0f} "
+                f"(k = {k} too small for D = {d})"
             )
-            continue
-        tau = invert_j(t, tol=tol)
-        value = horner(f_float, evaluate_j(tau.tau, terms=32))[0]
-        if abs(value) > tol * f_scale:
-            raise NumericalError(
-                f"|F(j(tau))| = {abs(value):.3e} exceeds {tol:.1e} * scale at root {t:.6g}"
-            )
-        err = _seam_distance(tau.tau, tau_hat.tau)
         rows.append(
             ZeroReportRow(
                 r=r + 1, t=t, tau=tau, tau_hat=tau_hat, abs_err=err,
-                k_times_err=k * err, t_gap=t_gap,
+                k_times_err=None if err is None else k * err,
+                t_gap=abs(t - 2 * k * z_limit),
             )
         )
     return ZeroReport(faber=f, rows=tuple(rows))

@@ -32,6 +32,7 @@ j = E_4^3 / Delta = q^{-1} E_4^3 / U.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -53,12 +54,10 @@ __all__ = [
 
 
 def _exact(x) -> int | Fraction:
-    """Coerce ints, strings like '-65520/691', and Fractions to an exact
-    rational in canonical form: int when integral, Fraction otherwise."""
+    """An int or Fraction as an exact rational in canonical form: int when
+    integral, Fraction otherwise; anything else raises DomainError."""
     if isinstance(x, int):
         return int(x)
-    if isinstance(x, str):
-        x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise DomainError(f"not an exact rational: {x!r}")
@@ -133,6 +132,7 @@ def _power(u, alpha: int, n: int) -> list:
     return v
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class TruncatedSeries:
     """A Laurent series in q known modulo q^order.
 
@@ -143,12 +143,12 @@ class TruncatedSeries:
     coefficients.
     """
 
-    __slots__ = ("valuation", "order", "coeffs")
+    valuation: int
+    coeffs: tuple[int | Fraction, ...]
+    order: int
 
-    def __init__(self, valuation: int, coeffs, order: int | None = None):
+    def __init__(self, valuation: int, coeffs, order: int):
         coeffs = [_exact(c) for c in coeffs]
-        if order is None:
-            order = valuation + len(coeffs)
         if order - valuation != len(coeffs):
             raise DomainError(
                 f"coefficient count {len(coeffs)} does not match order - valuation "
@@ -158,14 +158,9 @@ class TruncatedSeries:
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1
-        valuation += lead
-        coeffs = coeffs[lead:]
-        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "valuation", valuation + lead)
+        object.__setattr__(self, "coeffs", tuple(coeffs[lead:]))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -247,8 +242,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.valuation, [c * x for x in self.coeffs], self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         # a = A + O(q^Na), b = B + O(q^Nb)  =>  ab = AB + O(q^min(va+Nb, vb+Na));
@@ -302,22 +295,7 @@ class TruncatedSeries:
             return TruncatedSeries.zero(order)
         return TruncatedSeries(-v, _power(self.coeffs, -1, n_unit), order)
 
-    # -- comparisons / serialization ----------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.valuation == other.valuation
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.valuation, self.order, self.coeffs))
-
-    def __repr__(self):
-        return f"TruncatedSeries(valuation={self.valuation}, coeffs={self.coeffs}, order={self.order})"
+    # -- display -------------------------------------------------------------
 
     def __str__(self):
         if self.is_zero():

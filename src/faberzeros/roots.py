@@ -108,7 +108,7 @@ class RootSet:
 
 
 def _starts(start, n: int) -> list[complex]:
-    """Caller-given Aberth starts as n finite complex numbers, or DomainError."""
+    """Caller-given Aberth starts as n distinct finite complex numbers, or DomainError."""
     try:
         z = [complex(s) for s in start]
     except (TypeError, ValueError) as exc:
@@ -117,6 +117,8 @@ def _starts(start, n: int) -> list[complex]:
         raise DomainError(f"need {n} start points for degree {n}, got {len(z)}")
     if not all(math.isfinite(s.real) and math.isfinite(s.imag) for s in z):
         raise DomainError("start points must be finite")
+    if len(set(z)) != n:
+        raise DomainError("start points must be pairwise distinct")
     return z
 
 
@@ -126,8 +128,8 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, *, start=None) -> RootSet:
     By default the initial guesses sit on a circle of radius
     (1 + sum |a_nu|)^(1/D) with a fixed rotational offset, and the roots
     come back sorted by argument then modulus.  ``start`` replaces the
-    circle by D finite points (anything else raises DomainError); the
-    roots then come back in the order of their starts, root i being the
+    circle by D distinct finite points (anything else raises DomainError);
+    the roots then come back in the order of their starts, root i being the
     iterate that started at start[i].  The iteration stops when no root
     moves by more than 1e-15 relative, or after _MAX_ITER sweeps.  The
     residual contract is max |p(root)| <= tol * max |coeff|; a miss raises

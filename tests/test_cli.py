@@ -161,8 +161,18 @@ def test_huge_weight_is_invalid_input(capsys, argv):
              "--format", "json"),
             "2k|z| = 0.778113 <= 1 gives a non-positive height",
         ),
+        (("zeros", "--k", "2400", "--m", "abc"), "invalid --m value 'abc'"),
+        (("verify", "--D", "2", "--k-min", "0", "--k-max", "2400"), "k-min must be positive, got 0"),
+        (("verify", "--D", "2", "--k-min", "4800", "--k-max", "2400"), "k-min 4800 exceeds k-max 2400"),
+        (
+            ("figure", "--D", "2", "--k-min", "2400", "--k-max", "4800", "--k-step", "0"),
+            "grid requires 0 < k-min <= k-max and k-step > 0",
+        ),
     ],
-    ids=["figure-height", "predict-overflow", "figure-later-track", "figure-later-track-json"],
+    ids=[
+        "figure-height", "predict-overflow", "figure-later-track", "figure-later-track-json",
+        "zeros-bad-m", "verify-zero-k-min", "verify-k-min-above-k-max", "figure-zero-step",
+    ],
 )
 def test_point_refusals_print_one_exact_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -227,6 +227,10 @@ def test_faber_coefficients_are_ints_when_integral():
     assert all(c.denominator != 1 for c in custom.coeffs if type(c) is Fraction)
 
 
+def test_faber_str_skips_zero_coefficients():
+    assert str(FaberPoly(k=24, m=0, coeffs=(1, 0, 5))) == "t^2 + 5"
+
+
 def test_faber_degree_law():
     for k in (12, 24, 36, 50, 120):
         ell = decompose_weight(k).ell

@@ -225,6 +225,12 @@ def test_reduce_circle_corner_convention():
     assert in_fundamental_domain(got.tau)
 
 
+def test_reduce_sends_the_right_half_of_the_arc_to_the_left():
+    got = reduce_to_fundamental_domain(cmath.exp(1.2j))
+    assert got.tau == complex(-0.3623577544766736, 0.9320390859672263)
+    assert in_fundamental_domain(got.tau)
+
+
 def test_reduce_idempotent_and_valid():
     rng = random.Random(29)
     for _ in range(200):
@@ -399,7 +405,24 @@ def test_zero_report_flags_instead_when_not_strict():
     report = zero_report(miller_form_spec(24, 0), strict=False)
     assert report.degree == 2 and len(report.rows) == 2
     assert all(row.status == OUT_OF_REGIME and row.tau is None for row in report.rows)
+    assert all(row.abs_err is None and row.k_times_err is None for row in report.rows)
     assert all(row.tau_hat is not None for row in report.rows)
+
+
+def test_zero_report_row_status_follows_tau():
+    point = HalfPlanePoint(tau=0.1 + 1.2j)
+    shared = dict(r=1, t=-23256 + 0j, tau_hat=point, t_gap=0.0)
+    assert ZeroReportRow(tau=point, abs_err=0.0, k_times_err=0.0, **shared).status == "ok"
+    assert ZeroReportRow(tau=None, abs_err=None, k_times_err=None, **shared).status == OUT_OF_REGIME
+    assert "status" not in [f.name for f in dataclasses.fields(ZeroReportRow)]
+    with pytest.raises(TypeError):
+        ZeroReportRow(tau=None, abs_err=None, k_times_err=None, status=OUT_OF_REGIME, **shared)
+
+
+def test_half_plane_point_stores_the_complex_it_validated():
+    point = HalfPlanePoint(tau="0.1+2j")
+    assert type(point.tau) is complex and point.tau == complex(0.1, 2)
+    assert point == HalfPlanePoint(tau=complex(0.1, 2))
 
 
 def test_zero_report_conjugate_pair_degree_two():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from faberzeros.cli import _series_json
 from faberzeros.errors import DomainError
+from faberzeros.faber import _eisenstein_inverse
 from faberzeros.qseries import (
     TruncatedSeries,
     _convolve,
@@ -105,6 +106,62 @@ def test_coeff_below_valuation_is_zero_and_beyond_order_raises():
 def test_length_mismatch_rejected():
     with pytest.raises(DomainError):
         S(0, [1, 2], 5)
+
+
+def test_order_is_required():
+    with pytest.raises(TypeError):
+        S(0, [1])
+
+
+@pytest.mark.parametrize("c", ["-65520/691", 0.5, None], ids=["str", "float", "none"])
+def test_inexact_coefficients_rejected(c):
+    with pytest.raises(DomainError, match="not an exact rational"):
+        S(0, [1, c], 2)
+    with pytest.raises(DomainError, match="not an exact rational"):
+        S(0, [1, 2], 2).scale(c)
+
+
+# --- value-type contract ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "memo", [lambda: j_series(5), lambda: _eisenstein_inverse(4, 9)], ids=["j_series", "eisenstein_inverse"]
+)
+def test_memoized_series_are_immutable(memo):
+    # each memo hands one object to every caller, so none of them may change it
+    s = memo()
+    for field in ("valuation", "coeffs", "order"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, 0)
+    # no __dict__ to take a new name; Python 3.11 refuses one with TypeError
+    assert not hasattr(s, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        s.extra = 0
+    assert s == memo() and s is memo()
+
+
+def test_repr_names_the_fields_in_order():
+    assert repr(S(-1, [0, 1, Fraction(2, 3), 5], 3)) == (
+        "TruncatedSeries(valuation=0, coeffs=(1, Fraction(2, 3), 5), order=3)"
+    )
+    assert repr(S.zero(4)) == "TruncatedSeries(valuation=4, coeffs=(), order=4)"
+
+
+def test_equal_series_hash_equal():
+    a, b = S(0, [Fraction(1), 2], 2), S(-1, [0, 1, 2], 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != S(0, [1, 2, 0], 3)  # the same terms, known to a higher order
+    assert len({a, b, S.zero(2)}) == 2
+
+
+@pytest.mark.parametrize("c", [3, Fraction(1, 2)], ids=["int", "Fraction"])
+def test_scalar_product_is_scale_only(c):
+    s = S(0, [1, 2], 2)
+    assert s.scale(c) == S(0, [c, 2 * c], 2)
+    with pytest.raises(TypeError):
+        s * c
+    with pytest.raises(TypeError):
+        c * s
 
 
 # --- products -----------------------------------------------------------------

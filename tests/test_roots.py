@@ -329,6 +329,11 @@ def test_match_roots_against_exhaustive_oracle():
         assert abs(realized - best_val) < 1e-12
 
 
+def test_match_roots_empty():
+    pairing = match_roots([], [])
+    assert pairing.pairs == () and pairing.max_distance == 0.0
+
+
 def test_match_roots_cardinality_mismatch():
     with pytest.raises(DomainError):
         match_roots([1 + 0j], [1 + 0j, 2 + 0j])
@@ -421,8 +426,8 @@ def test_scaled_coefficient_beyond_double_range_is_domain_error(big):
 
 @pytest.mark.parametrize(
     "start",
-    [[], [1j], [1, 2, 3], [0.5, math.nan], [0.5, complex(1, math.inf)], ["x", 1], 5],
-    ids=["empty", "short", "long", "nan", "inf", "not-a-number", "not-iterable"],
+    [[], [1j], [1, 2, 3], [0.5, math.nan], [0.5, complex(1, math.inf)], ["x", 1], 5, [1, 1]],
+    ids=["empty", "short", "long", "nan", "inf", "not-a-number", "not-iterable", "repeated"],
 )
 def test_bad_starts_are_domain_errors(start):
     with pytest.raises(DomainError, match="start points"):
@@ -437,6 +442,20 @@ def test_degree_zero_takes_only_an_empty_start():
     assert scaled_faber_roots(f, start=()).roots == ()
     with pytest.raises(DomainError, match="need 0 start points"):
         scaled_faber_roots(f, start=[1j])
+
+
+def test_repeated_starts_on_a_root_are_refused():
+    # both iterates would sit on the root 1 (p = 0 skips them every sweep) and lose -1
+    p = ComplexPoly.from_coefficients([1, 0, -1])
+    with pytest.raises(DomainError, match="start points must be pairwise distinct"):
+        find_roots(p, start=[1, 1])
+    assert find_roots(p, start=[1, -1]).roots == (1 + 0j, -1 + 0j)
+
+
+def test_start_at_a_critical_point_is_nudged_off_it():
+    # p'(0) = 0, so the first Newton quotient at start 0 is undefined
+    got = find_roots(ComplexPoly.from_coefficients([1, 0, -1]), start=[0, 2])
+    assert got.roots == (-1 + 0j, 1 + 0j) and got.residual == 0.0
 
 
 def test_default_start_is_the_circle():
