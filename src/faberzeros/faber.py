@@ -85,6 +85,7 @@ class FaberPoly:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+@lru_cache(maxsize=1)
 def j_power_table(d: int) -> tuple[tuple[int, ...], ...]:
     """The rows c[r] = (c[r][0], ..., c[r][r]) for 0 <= r <= D, where
     c[r][s] is the coefficient of q^{-s} in j^r.
@@ -93,6 +94,11 @@ def j_power_table(d: int) -> tuple[tuple[int, ...], ...]:
     row r is the first r+1 coefficients of u^r, reversed, and each row is
     one Miller power of u to r+1 terms, on ints since u_0 = 1.  Every
     entry is a non-negative integer, with c[r][r] = 1 and c[r][r-1] = 744*r.
+
+    The last table built is kept and shared (it is an immutable tuple of
+    int tuples), so a walk over weights at one D, such as verify's grid,
+    builds it once.  Only one is kept: a table holds O(D^2) big ints, and
+    callers that change D on every call would gain nothing from more.
     """
     if d < 0:
         raise DomainError(f"degree must be >= 0, got {d}")
@@ -153,6 +159,12 @@ def renormalized_coeffs(f: FaberPoly) -> list[Fraction]:
     """Relative deviations x_s * s! / (2k)^s - 1 of F from the truncated-exponential limit.
 
     k is F's weight f.k.  Exact rationals; conversion to floating point is left to callers.
+    With x_s = n/d (d = 1 for an int), each deviation is the one Fraction
+    (n s! - d (2k)^s) / (d (2k)^s), built from ints.
     """
-    scale = Fraction(2 * f.k)
-    return [x * factorial(s) / scale**s - 1 for s, x in enumerate(f.coeffs)]
+    two_k = 2 * f.k
+    devs = []
+    for s, x in enumerate(f.coeffs):
+        den = x.denominator * two_k**s
+        devs.append(Fraction(x.numerator * factorial(s) - den, den))
+    return devs

@@ -258,9 +258,10 @@ class ZeroReport:
 def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) -> ZeroReport:
     """The report pairing the actual zeros of f / E_{k'} with their predictions.
 
-    F is solved once and kept as ``report.faber``; the solve of g_k starts
-    at the inverse zeros z_{D,r}, the roots' limits.  Its roots are matched
-    against those limits and pulled back through j; each actual
+    The inverse zeros z_{D,r}, the roots' limits, are built first, so a
+    degree they refuse fails before any exact work.  F is solved once and
+    kept as ``report.faber``; the solve of g_k starts at those limits, its
+    roots are matched against them and pulled back through j; each actual
     tau satisfies |F(j(tau))| <= tol * max |F coeff|.  Row errors are
     |tau_r - tau_hat_r| (seam-aware) with k * err alongside, plus the t-scale
     displacement |t_r - 2k z_{D,r}|.  With strict=True any root outside the
@@ -269,13 +270,14 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     Rows are indexed by the inverse zeros' sorted order.
     """
     _check_tolerance(tol)
-    f = faber_polynomial(spec)
-    d = f.degree
-    k = f.k
+    d = spec.degree
     if d == 0:
-        return ZeroReport(faber=f, rows=())
+        return ZeroReport(faber=faber_polynomial(spec), rows=())
 
-    limits = truncated_exp_inverse_zeros(d, tol=tol)
+    limits = truncated_exp_inverse_zeros(d, tol=tol)  # (D, tol) alone: refused before F is solved
+    f = faber_polynomial(spec)
+    k = f.k
+
     scaled = scaled_faber_roots(f, tol=tol, start=limits.roots)
     pairing = match_roots(scaled.roots, limits.roots)
     root_for_limit = {j: scaled.roots[i] for i, j in pairing.pairs}

@@ -196,7 +196,10 @@ def truncated_exp_poly(d: int) -> ComplexPoly:
         raise DomainError(f"degree must be >= 1, got {d}")
     # the running products D!/(D - nu)! = D (D-1) ... (D-nu+1), lazily: the
     # first one beyond the double range is refused before the rest are built
-    return ComplexPoly.from_coefficients(accumulate(range(d, 0, -1), mul, initial=1))
+    try:
+        return ComplexPoly.from_coefficients(accumulate(range(d, 0, -1), mul, initial=1))
+    except DomainError as exc:
+        raise DomainError(f"truncated exponential of degree {d}: {exc}") from None
 
 
 @lru_cache(maxsize=None)
@@ -233,8 +236,17 @@ def match_roots(a, b) -> Pairing:
     """The bijection between two root sequences minimizing the maximum
     pairwise distance (bottleneck assignment).
 
-    Solved exactly: binary search over the candidate distances with a
-    bipartite perfect-matching feasibility test at each threshold.
+    Solved exactly over the candidate distances, with a bipartite
+    perfect-matching feasibility test at each threshold.  No threshold
+    below floor = max(max_i min_j d_ij, max_j min_i d_ij) can match every
+    root, and the floor itself almost always does, so it is tried first;
+    only when it fails are the distances above it binary-searched.
+
+    Ties: among the pairings with the optimal bottleneck value, the one
+    returned is the matching that the augmenting-path search finds at that
+    threshold, taking the roots of ``a`` in order and trying those of ``b``
+    in index order.  So which of two equidistant partners a root gets
+    depends on the order of ``a``.
     """
     n = len(a)
     if len(b) != n:
@@ -242,7 +254,7 @@ def match_roots(a, b) -> Pairing:
     if n == 0:
         return Pairing(pairs=(), max_distance=0.0)
     dist = [[abs(x - y) for y in b] for x in a]
-    levels = sorted({d for row in dist for d in row})
+    floor = max(max(map(min, dist)), max(map(min, zip(*dist))))
 
     def matching_at(threshold):
         match_of_y = [-1] * n
@@ -261,17 +273,18 @@ def match_roots(a, b) -> Pairing:
                 return None
         return match_of_y
 
-    lo, hi = 0, len(levels) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        m = matching_at(levels[mid])
-        if m is not None:
-            best = (levels[mid], m)
-            hi = mid - 1
-        else:
-            lo = mid + 1
-    threshold, match_of_y = best
+    threshold, match_of_y = floor, matching_at(floor)
+    if match_of_y is None:  # search the distances above the floor; the largest always matches
+        levels = sorted({d for row in dist for d in row if d > floor})
+        lo, hi = 0, len(levels) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            m = matching_at(levels[mid])
+            if m is not None:
+                threshold, match_of_y = levels[mid], m
+                hi = mid - 1
+            else:
+                lo = mid + 1
     pairs = sorted((i, j) for j, i in enumerate(match_of_y))
     return Pairing(pairs=tuple(pairs), max_distance=threshold)
 

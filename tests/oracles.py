@@ -6,9 +6,10 @@ bound, the companion-matrix eigenvalues of a monic polynomial, the
 roots of the exact rescaled Faber polynomial g_k at 60 digits, Horner
 evaluation of F at a q-series argument (used to rebuild
 f = Delta^ell E_{k'} F(j) exactly), membership in the standard
-fundamental domain, and the plain forms of three kernels: the dense
+fundamental domain, and the plain forms of four kernels: the dense
 Miller power recurrence, the j-power table as a chain of convolutions
-with q*j, and the column-by-column triangular Faber solve.
+with q*j, the column-by-column triangular Faber solve, and the bottleneck
+root matching as a binary search over every candidate distance.
 """
 
 import math
@@ -21,7 +22,7 @@ from faberzeros.faber import FaberPoly, faber_polynomial, j_power_table, princip
 from faberzeros.halfplane import _BOUNDARY_EPS
 from faberzeros.modforms import decompose_weight, miller_form_spec
 from faberzeros.qseries import TruncatedSeries, _convolve, _exact, gamma_k, j_series
-from faberzeros.roots import ComplexPoly
+from faberzeros.roots import ComplexPoly, Pairing
 
 
 def closed_form_poly(k: int, m: int) -> FaberPoly:
@@ -88,6 +89,45 @@ def column_solve_faber_polynomial(spec) -> FaberPoly:
     for s in range(d, -1, -1):
         x[d - s] = a[d - s] - sum(table[r][s] * x[d - r] for r in range(s + 1, d + 1))
     return FaberPoly(k=spec.k, m=spec.m, coeffs=tuple(x))
+
+
+def binary_search_match_roots(a, b) -> Pairing:
+    """The bottleneck assignment of ``roots.match_roots`` by a plain binary
+    search over all candidate distances, with the same augmenting-path
+    feasibility test at each threshold (so the same tie rule)."""
+    n = len(a)
+    dist = [[abs(x - y) for y in b] for x in a]
+    levels = sorted({d for row in dist for d in row})
+
+    def matching_at(threshold):
+        match_of_y = [-1] * n
+
+        def augment(i, seen):
+            for j in range(n):
+                if dist[i][j] <= threshold and not seen[j]:
+                    seen[j] = True
+                    if match_of_y[j] == -1 or augment(match_of_y[j], seen):
+                        match_of_y[j] = i
+                        return True
+            return False
+
+        for i in range(n):
+            if not augment(i, [False] * n):
+                return None
+        return match_of_y
+
+    lo, hi = 0, len(levels) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        m = matching_at(levels[mid])
+        if m is not None:
+            best = (levels[mid], m)
+            hi = mid - 1
+        else:
+            lo = mid + 1
+    threshold, match_of_y = best
+    return Pairing(pairs=tuple(sorted((i, j) for j, i in enumerate(match_of_y))), max_distance=threshold)
 
 
 def ostrowski_bound(p: ComplexPoly, q: ComplexPoly) -> float:

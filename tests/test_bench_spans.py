@@ -6,9 +6,10 @@ renames or bypasses a traced function.  This test runs each workload's
 warmup op (and, for sweep, one figure and one basis op as well) under
 the benchmark's own Tracer, so that such a break shows at test time.
 The benchmark files are loaded by path and used as they are.  The
-memoized ``j_series`` and 1/E_{k'} are cleared first: an earlier test
-that built j, or inverted E_{k'}, at the same order would otherwise leave
-``qseries.eta_unit``, ``qseries.eisenstein_series`` or ``qseries.inverse``
+memoized ``j_series``, 1/E_{k'} and j-power table are cleared first: an
+earlier test that built j, inverted E_{k'}, or built the table at the
+same order would otherwise leave ``qseries.eta_unit``,
+``qseries.j_series``, ``qseries.eisenstein_series`` or ``qseries.inverse``
 without calls.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from faberzeros.faber import _eisenstein_inverse
+from faberzeros.faber import _eisenstein_inverse, j_power_table
 from faberzeros.qseries import j_series
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,6 +48,7 @@ def test_traced_ops_reach_every_expected_span(workload):
     wl = workloads.WORKLOADS[workload]
     j_series.cache_clear()
     _eisenstein_inverse.cache_clear()
+    j_power_table.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

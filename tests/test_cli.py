@@ -21,6 +21,7 @@ from faberzeros.cli import (
     _json_text,
     main,
 )
+from faberzeros.faber import j_power_table
 from faberzeros.halfplane import _prediction_height, _prediction_line
 from faberzeros.roots import truncated_exp_inverse_zeros
 
@@ -162,6 +163,11 @@ def test_huge_weight_is_invalid_input(capsys, argv):
             "2k|z| = 0.778113 <= 1 gives a non-positive height",
         ),
         (("zeros", "--k", "2400", "--m", "abc"), "invalid --m value 'abc'"),
+        (
+            ("zeros", "--k", "2400", "--m", "0"),
+            "truncated exponential of degree 200: "
+            "coefficients must be finite: int too large to convert to float",
+        ),
         (("verify", "--D", "2", "--k-min", "0", "--k-max", "2400"), "k-min must be positive, got 0"),
         (("verify", "--D", "2", "--k-min", "4800", "--k-max", "2400"), "k-min 4800 exceeds k-max 2400"),
         (
@@ -171,7 +177,8 @@ def test_huge_weight_is_invalid_input(capsys, argv):
     ],
     ids=[
         "figure-height", "predict-overflow", "figure-later-track", "figure-later-track-json",
-        "zeros-bad-m", "verify-zero-k-min", "verify-k-min-above-k-max", "figure-zero-step",
+        "zeros-bad-m", "zeros-degree-200", "verify-zero-k-min", "verify-k-min-above-k-max",
+        "figure-zero-step",
     ],
 )
 def test_point_refusals_print_one_exact_line(capsys, argv, message):
@@ -220,10 +227,37 @@ def test_stdout_same_with_cold_and_warm_j_cache(capsys, argv):
     from faberzeros.qseries import j_series
 
     j_series.cache_clear()
+    j_power_table.cache_clear()
     cold = run(capsys, *argv)
+    j_power_table.cache_clear()  # so the warm run reads j from its memo
     warm = run(capsys, *argv)
     assert j_series.cache_info().hits >= 1
     assert cold[0] in (EXIT_OK, EXIT_VERIFY_FAILED) and cold == warm
+    hits = j_power_table.cache_info().hits
+    hot = run(capsys, *argv)  # the table built by the warm run is reused
+    assert j_power_table.cache_info().hits > hits
+    assert hot == cold
+
+
+def test_verify_builds_the_j_power_table_once(capsys):
+    # a doubling grid at one D: one build, then a hit at each later weight
+    j_power_table.cache_clear()
+    code, _, _ = run(capsys, "verify", "--D", "4", "--k-min", "2400", "--k-max", "19200")
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED)
+    info = j_power_table.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_degree_beyond_the_limits_is_refused_before_the_solve(capsys):
+    # D = 320: the truncated exponential is refused before F (seconds of exact work) is solved
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zeros", "--k", "3840", "--m", "0")
+    assert code == EXIT_INVALID and out == ""
+    assert err == (
+        "faberzeros: invalid input: truncated exponential of degree 320: "
+        "coefficients must be finite: int too large to convert to float\n"
+    )
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])

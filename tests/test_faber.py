@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -75,6 +76,29 @@ def test_j_power_table_equals_the_convolution_chain():
         chain = convolution_chain_j_power_table(d)
         assert table == chain, d
         assert [[type(x) for x in row] for row in table] == [[type(x) for x in row] for row in chain], d
+
+
+def test_j_power_table_memo_matches_the_uncached_build():
+    j_power_table.cache_clear()
+    for d in range(61):
+        assert j_power_table(d) == j_power_table.__wrapped__(d), d
+
+
+def test_j_power_table_keeps_only_the_last_table():
+    table = j_power_table(7)
+    assert j_power_table(7) is table
+    j_power_table(5)
+    j_power_table(6)
+    assert j_power_table.cache_info().currsize == 1
+    assert j_power_table(7) is not table and j_power_table(7) == table
+
+
+def test_j_power_table_errors_are_not_cached():
+    j_power_table.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            j_power_table(-1)
+    assert j_power_table.cache_info().currsize == 0
 
 
 def test_j_power_table_against_series_square():
@@ -156,6 +180,7 @@ def _kernel_calls(spec):
         mp.setattr(faber, "_power", power)
         j_series.cache_clear()
         _eisenstein_inverse.cache_clear()
+        j_power_table.cache_clear()
         faber_polynomial(spec)
     return calls
 
@@ -304,6 +329,27 @@ def test_renormalized_large_weight_closed_form():
     spec = miller_form_spec(k, decompose_weight(k).ell - 1)
     devs = renormalized_coeffs(faber_polynomial(spec))
     assert abs(devs[1]) == Fraction(744, 2 * k) == Fraction(31, 1000)
+
+
+def test_renormalized_coeffs_equal_the_fraction_formula():
+    # one Fraction per coefficient from ints, against the Fraction power,
+    # division and subtraction it replaced: same values, all Fractions
+    rng = random.Random(1009)
+    for trial in range(60):
+        k = rng.choice([12, 24, 36, 240, 2400, 24000, 240000]) + rng.choice(ALLOWED_K_PRIME)
+        ell = decompose_weight(k).ell
+        d = rng.randint(0, min(ell, 30))
+        if trial % 2:
+            window = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(d)]
+            spec = custom_form_spec(k, ell - d, window)
+        else:
+            spec = miller_form_spec(k, ell - d)
+        poly = faber_polynomial(spec)
+        scale = Fraction(2 * k)
+        expected = [x * factorial(s) / scale**s - 1 for s, x in enumerate(poly.coeffs)]
+        got = renormalized_coeffs(poly)
+        assert got == expected, (k, spec.m)
+        assert all(type(v) is Fraction for v in got), (k, spec.m)
 
 
 # --- invariants -----------------------------------------------------------------------

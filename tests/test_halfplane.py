@@ -9,6 +9,7 @@ import sys
 import mpmath
 import pytest
 
+from faberzeros import halfplane
 from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial
 from faberzeros.halfplane import (
@@ -407,6 +408,24 @@ def test_zero_report_flags_instead_when_not_strict():
     assert all(row.status == OUT_OF_REGIME and row.tau is None for row in report.rows)
     assert all(row.abs_err is None and row.k_times_err is None for row in report.rows)
     assert all(row.tau_hat is not None for row in report.rows)
+
+
+def test_zero_report_refuses_the_limits_before_solving_f(monkeypatch):
+    # D = 200: D! is past the double range, so the truncated exponential is refused
+    # and the exact solve of F, seconds of work at this degree, never starts
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return faber_polynomial(spec)
+
+    monkeypatch.setattr(halfplane, "faber_polynomial", counted)
+    message = "^truncated exponential of degree 200: coefficients must be finite"
+    with pytest.raises(DomainError, match=message):
+        zero_report(miller_form_spec(2400, 0), strict=False)
+    assert calls == []
+    zero_report(miller_form_spec(2400, decompose_weight(2400).ell - 2))
+    assert len(calls) == 1  # the binding counted is the one zero_report calls
 
 
 def test_zero_report_row_status_follows_tau():

@@ -22,7 +22,9 @@ from faberzeros.roots import (
     truncated_exp_inverse_zeros,
     truncated_exp_poly,
 )
-from oracles import companion_roots, ostrowski_bound, scaled_roots_oracle
+from oracles import (
+    binary_search_match_roots, companion_roots, ostrowski_bound, scaled_roots_oracle,
+)
 
 
 def brute_force_pairing(xs, ys):
@@ -315,6 +317,19 @@ def test_match_roots_identity():
     assert pairing.max_distance == 0.0
 
 
+def _tied_root_sets(rng, n):
+    """Two root lists on a small integer grid, so exact distance ties are common."""
+    grid = [complex(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    return [rng.choice(grid) for _ in range(n)], [rng.choice(grid) for _ in range(n)]
+
+
+def _perturbed_root_sets(rng, n):
+    xs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
+    ys = [x + complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for x in xs]
+    rng.shuffle(ys)
+    return xs, ys
+
+
 def test_match_roots_against_exhaustive_oracle():
     rng = random.Random(5)
     for _ in range(50):
@@ -327,6 +342,32 @@ def test_match_roots_against_exhaustive_oracle():
         assert abs(pairing.max_distance - best_val) < 1e-12
         realized = max(abs(xs[i] - ys[j]) for i, j in pairing.pairs)
         assert abs(realized - best_val) < 1e-12
+    # n up to 6, half of the sets with exact ties: the optimum is one of the
+    # distances, so it must come back exactly
+    for trial in range(300):
+        make = _tied_root_sets if trial % 2 else _perturbed_root_sets
+        xs, ys = make(rng, rng.randint(1, 6))
+        pairing = match_roots(xs, ys)
+        _, best_val = brute_force_pairing(xs, ys)
+        assert pairing.max_distance == best_val
+        assert max(abs(xs[i] - ys[j]) for i, j in pairing.pairs) == best_val
+
+
+def test_match_roots_equals_the_plain_binary_search():
+    # the floor probe and the search above it must return the very pairing of
+    # a binary search over every distance, ties included; both paths are taken
+    rng = random.Random(2024)
+    paths = set()
+    for trial in range(600):
+        make = _tied_root_sets if trial % 5 == 0 else _perturbed_root_sets
+        xs, ys = make(rng, rng.randint(1, 12))
+        got = match_roots(xs, ys)
+        assert got == binary_search_match_roots(xs, ys), (xs, ys)
+        dist = [[abs(x - y) for y in ys] for x in xs]
+        floor = max(max(map(min, dist)), max(map(min, zip(*dist))))
+        assert got.max_distance >= floor
+        paths.add(got.max_distance == floor)
+    assert paths == {True, False}
 
 
 def test_match_roots_empty():
