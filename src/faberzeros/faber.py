@@ -20,11 +20,12 @@ from .modforms import ModularFormSpec, decompose_weight
 from .qseries import (
     TruncatedSeries,
     _clear_denominators,
+    _convolve,
     _divide,
     _exact,
+    _phi_coeffs,
     _power,
     eisenstein_series,
-    euler_phi,
     j_series,
 )
 
@@ -119,19 +120,23 @@ def principal_part(spec: ModularFormSpec) -> tuple[int | Fraction, ...]:
 
     Writing f = q^m * y(q) with y the unit window, the quotient equals
     q^{-D} * y(q) / (phi^{24 ell} E_{k'}) mod q, phi = prod (1-q^n), so
-    only the D+1 unit coefficients matter.  phi^{-24 ell} and 1/E_{k'} are
-    Miller powers in O(D^2) integer steps whatever ell is (the phi power
-    visits only phi's O(sqrt D) nonzero terms), so the cost is independent
-    of k; 1/E_{k'} is built once per (k', D) and then reused.  The window
-    is scaled to ints by the lcm L of its denominators (1 for Miller
-    windows), the whole product runs on ints, and A is divided by L only
-    on return.
+    only the D+1 unit coefficients matter.  phi^{-24 ell} is one Miller
+    power of phi's memoized 0/+-1 coefficients, which visits only their
+    O(sqrt D) nonzero terms, so it costs O(D^1.5) integer steps whatever
+    ell is and the cost is independent of k; 1/E_{k'} is built once per
+    (k', D) and then reused.  The window is scaled to ints by the lcm L
+    of its denominators (1 for Miller windows), the product is two
+    convolutions of int lists (one is skipped when its factor is 1: the
+    window (1, 0, ..., 0), or k' = 0), and A is divided by L only on return.
     """
     order = spec.degree + 1
     window, scale = _clear_denominators(spec.unit_coeffs)
-    y = TruncatedSeries(0, window, order)
-    a = y * euler_phi(order) ** (-24 * spec.ell) * _eisenstein_inverse(spec.k_prime, order)
-    return tuple(_divide([a.coeff(i) for i in range(order)], scale))
+    a = _power(_phi_coeffs(order), -24 * spec.ell, order)
+    e_inverse = _eisenstein_inverse(spec.k_prime, order).coeffs
+    for factor in (window, e_inverse):
+        if factor[0] != 1 or any(factor[1:]):  # a factor (1, 0, ..., 0) is skipped
+            a = _convolve(a, factor, order)
+    return tuple(_divide(a, scale))
 
 
 def faber_polynomial(spec: ModularFormSpec) -> FaberPoly:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import mul, sub
 
 from .errors import DomainError
 from .qseries import TruncatedSeries, delta_series, eisenstein_series, _exact
@@ -147,10 +148,13 @@ def miller_basis_series(k: int, order: int) -> list[TruncatedSeries]:
         for _ in range(ell):
             basis.append((basis[-1] * step).truncate(order))
 
-    # going down from j = ell, basis[j] is already clear at q^{j+1}..q^ell
+    # dense rows indexed by exponent; going down from j = ell,
+    # rows[j] is already clear at q^{j+1}..q^ell and zero below q^j
+    rows = [[0] * s.valuation + list(s.coeffs) for s in basis]
     for j in range(ell, 0, -1):
-        for i in range(j):
-            c = basis[i].coeff(j)
+        pivot = rows[j][j:]
+        for row in rows[:j]:
+            c = row[j]
             if c != 0:
-                basis[i] = basis[i] - basis[j].scale(c)
-    return basis
+                row[j:] = map(sub, row[j:], map(mul, pivot, repeat(c)))
+    return [TruncatedSeries(0, row, order) for row in rows]

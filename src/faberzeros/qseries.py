@@ -369,11 +369,13 @@ def eisenstein_series(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(0, coeffs, order)
 
 
-def euler_phi(order: int) -> TruncatedSeries:
-    """Euler's function phi = prod_{n>=1} (1-q^n), modulo q^order.
+@lru_cache(maxsize=None)
+def _phi_coeffs(order: int) -> tuple[int, ...]:
+    """Coefficients 0..order-1 of phi = prod_{n>=1} (1-q^n), all 0 or +-1.
 
     By the pentagonal number theorem phi = sum_k (-1)^k q^{k(3k-1)/2} over
-    all integers k: a sparse series with entries 0 and +-1.
+    all integers k.  Memoized per order like ``j_series``: the tuple is
+    immutable, and a call that raises is not cached.
     """
     if order < 1:
         raise DomainError("euler_phi requires order >= 1")
@@ -382,7 +384,15 @@ def euler_phi(order: int) -> TruncatedSeries:
     while k * (3 * k - 1) // 2 < order:
         terms[k * (3 * k - 1) // 2] = terms[k * (3 * k + 1) // 2] = (-1) ** k
         k += 1
-    return TruncatedSeries.from_terms(terms, order)
+    return tuple(terms.get(n, 0) for n in range(order))
+
+
+def euler_phi(order: int) -> TruncatedSeries:
+    """Euler's function phi = prod_{n>=1} (1-q^n), modulo q^order.
+
+    By the pentagonal number theorem a sparse series with entries 0 and +-1.
+    """
+    return TruncatedSeries(0, _phi_coeffs(order), order)
 
 
 def eta_unit(order: int) -> TruncatedSeries:

@@ -246,11 +246,14 @@ def match_roots(a, b) -> Pairing:
     returned is the matching that the augmenting-path search finds at that
     threshold, taking the roots of ``a`` in order and trying those of ``b``
     in index order.  So which of two equidistant partners a root gets
-    depends on the order of ``a``.
+    depends on the order of ``a``.  A NaN or infinite root in either
+    sequence raises DomainError: no threshold matches a NaN distance.
     """
     n = len(a)
     if len(b) != n:
         raise DomainError(f"cardinality mismatch: {n} vs {len(b)}")
+    if not all(map(cmath.isfinite, (*a, *b))):
+        raise DomainError("roots to match must be finite (no NaN or inf)")
     if n == 0:
         return Pairing(pairs=(), max_distance=0.0)
     dist = [[abs(x - y) for y in b] for x in a]

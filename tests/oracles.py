@@ -6,9 +6,11 @@ bound, the companion-matrix eigenvalues of a monic polynomial, the
 roots of the exact rescaled Faber polynomial g_k at 60 digits, Horner
 evaluation of F at a q-series argument (used to rebuild
 f = Delta^ell E_{k'} F(j) exactly), membership in the standard
-fundamental domain, and the plain forms of four kernels: the dense
-Miller power recurrence, the j-power table as a chain of convolutions
-with q*j, the column-by-column triangular Faber solve, and the bottleneck
+fundamental domain, and the plain forms of six kernels: the dense
+Miller power recurrence, the principal part as one product of
+``TruncatedSeries``, the j-power table as a chain of convolutions with
+q*j, the column-by-column triangular Faber solve, the Miller basis
+back-substitution in ``TruncatedSeries`` arithmetic, and the bottleneck
 root matching as a binary search over every candidate distance.
 """
 
@@ -21,7 +23,18 @@ from faberzeros.errors import DomainError
 from faberzeros.faber import FaberPoly, faber_polynomial, j_power_table, principal_part
 from faberzeros.halfplane import _BOUNDARY_EPS
 from faberzeros.modforms import decompose_weight, miller_form_spec
-from faberzeros.qseries import TruncatedSeries, _convolve, _exact, gamma_k, j_series
+from faberzeros.qseries import (
+    TruncatedSeries,
+    _clear_denominators,
+    _convolve,
+    _divide,
+    _exact,
+    delta_series,
+    eisenstein_series,
+    euler_phi,
+    gamma_k,
+    j_series,
+)
 from faberzeros.roots import ComplexPoly, Pairing
 
 
@@ -63,6 +76,38 @@ def dense_miller_power(u, alpha: int, n: int) -> list:
         s = sum(((alpha + 1) * i - m) * u[i] * v[m - i] for i in range(1, min(m + 1, len(u))))
         v.append(_exact(Fraction(s, m * u0)))
     return v[:n]
+
+
+def series_principal_part(spec) -> tuple:
+    """A(0..D) as the TruncatedSeries product y * phi^(-24 ell) * E_{k'}^(-1)
+    mod q^(D+1), on the window scaled to ints by the lcm L of its
+    denominators, with A divided by L at the end."""
+    order = spec.degree + 1
+    window, scale = _clear_denominators(spec.unit_coeffs)
+    y = TruncatedSeries(0, window, order)
+    e_inverse = eisenstein_series(spec.k_prime, order).inverse(order)
+    a = y * euler_phi(order) ** (-24 * spec.ell) * e_inverse
+    return tuple(_divide([a.coeff(i) for i in range(order)], scale))
+
+
+def series_miller_basis(k: int, order: int) -> list[TruncatedSeries]:
+    """The Miller basis modulo q^order from the spanning elements
+    Delta^i E_{k'} E_4^(3(ell-i)), cleared at q^(i+1)..q^ell by a
+    back-substitution in TruncatedSeries arithmetic (order >= ell + 1)."""
+    weight = decompose_weight(k)
+    ell = weight.ell
+    e4 = eisenstein_series(4, order)
+    basis = [eisenstein_series(weight.k_prime, order) * e4 ** (3 * ell)]
+    if ell >= 1:
+        step = delta_series(order) * e4**-3
+        for _ in range(ell):
+            basis.append((basis[-1] * step).truncate(order))
+    for j in range(ell, 0, -1):
+        for i in range(j):
+            c = basis[i].coeff(j)
+            if c != 0:
+                basis[i] = basis[i] - basis[j].scale(c)
+    return basis
 
 
 def convolution_chain_j_power_table(d: int) -> tuple[tuple[int, ...], ...]:

@@ -41,6 +41,7 @@ from oracles import (
     column_solve_faber_polynomial,
     convolution_chain_j_power_table,
     evaluate_series,
+    series_principal_part,
 )
 
 
@@ -177,7 +178,9 @@ def _kernel_calls(spec):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qseries, "_convolve", convolve)
         mp.setattr(qseries, "_power", power)
+        mp.setattr(faber, "_convolve", convolve)
         mp.setattr(faber, "_power", power)
+        qseries._phi_coeffs.cache_clear()
         j_series.cache_clear()
         _eisenstein_inverse.cache_clear()
         j_power_table.cache_clear()
@@ -464,6 +467,37 @@ def test_principal_part_matches_two_step_route():
                     got, want = principal_part(spec), two_step_principal_part(spec)
                     assert got == want, (k, d)
                     assert [type(c) for c in got] == [type(c) for c in want], (k, d)
+
+
+def _principal_part_specs(rng):
+    """Seeded specs for every k', D <= 40 and ell up to 2e6 (k up to 2.4e7):
+    Miller windows, int and Fraction custom windows, and a window
+    (y0, 0, ..., 0) with a Fraction y0, whose cleared form is not 1."""
+    for k_prime in ALLOWED_K_PRIME:
+        for d in (0, 1, 2, 5, 12, 24, 31, 40):
+            for ell in sorted({d, d + 1, rng.randint(d + 1, 10**4), 2 * 10**6}):
+                k = 12 * ell + k_prime
+                m = ell - d
+                yield miller_form_spec(k, m)
+                yield custom_form_spec(k, m, [rng.randint(-99, 99) for _ in range(d)])
+                yield custom_form_spec(
+                    k, m, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+                )
+                yield ModularFormSpec(
+                    weight=decompose_weight(k), m=m, unit_coeffs=(Fraction(2, 3),) + (0,) * d
+                )
+
+
+def test_principal_part_matches_series_oracle():
+    # the integer-list path against the TruncatedSeries product
+    rng = random.Random(4096)
+    count = 0
+    for spec in _principal_part_specs(rng):
+        got, want = principal_part(spec), series_principal_part(spec)
+        assert got == want, (spec.k, spec.m)
+        assert [type(c) for c in got] == [type(c) for c in want], (spec.k, spec.m)
+        count += 1
+    assert count > 500
 
 
 # --- the integer solve against the rational column solve, at benchmark sizes ----

@@ -14,6 +14,7 @@ from faberzeros.modforms import (
     miller_form_spec,
 )
 from faberzeros.qseries import delta_series, eisenstein_series
+from oracles import series_miller_basis
 
 
 def test_decompose_examples():
@@ -116,6 +117,23 @@ def test_basis_echelon_identity_for_small_weights():
         for i, series in enumerate(basis):
             for j in range(ell + 1):
                 assert series.coeff(j) == (1 if i == j else 0), (k, i, j)
+
+
+@pytest.mark.parametrize("extra", [1, 5])
+def test_basis_matches_series_elimination_oracle(extra):
+    # the list back-substitution against the TruncatedSeries one,
+    # at orders ell + 1 and ell + 5; element i is q^i + O(q^(ell+1))
+    for k in range(0, 301, 2):
+        if k == 2:
+            continue
+        ell = decompose_weight(k).ell
+        order = ell + extra
+        basis = miller_basis_series(k, order)
+        assert basis == series_miller_basis(k, order), k
+        for i, series in enumerate(basis):
+            assert series.order == order and series.valuation == i, (k, i)
+            assert all(type(c) is int for c in series.coeffs), (k, i)
+            assert [series.coeff(n) for n in range(i, ell + 1)] == [1] + [0] * (ell - i), (k, i)
 
 
 def test_basis_requires_enough_order():

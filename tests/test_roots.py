@@ -380,6 +380,18 @@ def test_match_roots_cardinality_mismatch():
         match_roots([1 + 0j], [1 + 0j, 2 + 0j])
 
 
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0, math.nan), complex(math.inf, 0),
+                                 complex(1, -math.inf), math.nan, math.inf])
+def test_match_roots_refuses_non_finite_roots(bad):
+    finite = [0j, 1 + 1j]
+    with pytest.raises(DomainError, match="finite"):
+        match_roots([bad, 1 + 1j], finite)
+    with pytest.raises(DomainError, match="finite"):
+        match_roots(finite, [1 + 1j, bad])
+    with pytest.raises(DomainError, match="finite"):
+        match_roots([bad], [bad])
+
+
 # --- scaled faber roots -------------------------------------------------------------------
 
 
