@@ -16,7 +16,6 @@ import functools
 import math
 import re
 import sys
-from fractions import Fraction
 
 from .errors import DomainError, NumericalError
 from .faber import faber_polynomial, renormalized_coeffs
@@ -267,19 +266,27 @@ def _emit_points(weights, args: argparse.Namespace) -> None:
     _emit(template % tuple(cells), args)
 
 
+def _ratios_bounded(ratios) -> bool:
+    """Whether every n/d in ``ratios``, (n, d) int pairs with d > 0, is at most 3/2 of
+    the first: 2 n d_0 <= 3 n_0 d, exactly, with no Fraction built."""
+    n0, d0 = ratios[0]
+    return all(2 * n * d0 <= 3 * n0 * d for n, d in ratios)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     """Monitor k * deviation sequences over a doubling grid.
 
     Coefficient rows track k * |x_s s!/(2k)^s - 1| for s = 1..D (exact
-    rationals); zero rows track k * |tau_r - tau_hat_r| over the grid
-    entries whose roots are large enough to invert.  Exit 0 when every
+    rationals, kept as int numerator and denominator and printed as their
+    correctly rounded quotient); zero rows track k * |tau_r - tau_hat_r|
+    over the grid entries whose roots are large enough to invert.  Exit 0 when every
     monitored sequence stays within 1.5x its first computed entry.
     """
     d = args.degree
     if d < 1 or d > 8:
         raise DomainError(f"verify requires 1 <= D <= 8, got {d}")
     grid = _doubling_grid(args.k_min, args.k_max)
-    coeff_rows = {s: [] for s in range(1, d + 1)}  # exact Fractions
+    coeff_rows = {s: [] for s in range(1, d + 1)}  # exact (numerator, denominator) pairs
     zero_rows = {r: [] for r in range(1, d + 1)}  # floats or None
     for k in grid:
         weight = decompose_weight(k)
@@ -288,22 +295,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = zero_report(miller_form_spec(k, weight.ell - d), tol=args.tol, strict=False)
         devs = renormalized_coeffs(report.faber)
         for s in range(1, d + 1):
-            coeff_rows[s].append(k * abs(devs[s]))
+            coeff_rows[s].append((k * abs(devs[s].numerator), devs[s].denominator))
         for row in report.rows:
             zero_rows[row.r].append(row.k_times_err)
 
-    def bounded(values) -> bool:
-        limit = values[0] * Fraction(3, 2)
-        return all(v <= limit for v in values)
-
     table = [
-        (f"coeff_dev[s={s}]", [float(v) for v in seq], bounded(seq)) for s, seq in coeff_rows.items()
+        (f"coeff_dev[s={s}]", [n / den for n, den in seq], _ratios_bounded(seq))
+        for s, seq in coeff_rows.items()
     ]
     for r, seq in zero_rows.items():
         values = [v for v in seq if v is not None]
         if values:  # else nothing computable on this grid
             shown = [OUT_OF_REGIME if v is None else v for v in seq]
-            table.append((f"zero_err[r={r}]", shown, bounded(values)))
+            limit = 1.5 * values[0]
+            table.append((f"zero_err[r={r}]", shown, all(v <= limit for v in values)))
     all_bounded = all(ok for _, _, ok in table)
 
     if args.format == "json":

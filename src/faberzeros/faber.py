@@ -8,13 +8,13 @@ the weight k; that is what makes very large weights cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import factorial
 from operator import mul, sub
 
+from ._frozen import frozen_dataclass
 from .errors import DomainError
 from .modforms import ModularFormSpec, decompose_weight
 from .qseries import (
@@ -48,7 +48,7 @@ def horner(coeffs, x):
     return p, dp
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass()
 class FaberPoly:
     """F(t) = x_0 t^D + x_1 t^{D-1} + ... + x_D with exact rational x_i.
 

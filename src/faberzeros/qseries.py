@@ -32,13 +32,13 @@ j = E_4^3 / Delta = q^{-1} E_4^3 / U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import isqrt, lcm
 from operator import mul, sub
 
+from ._frozen import frozen_dataclass
 from .errors import DomainError
 
 __all__ = [
@@ -132,7 +132,7 @@ def _power(u, alpha: int, n: int) -> list:
     return v
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen_dataclass(init=False)
 class TruncatedSeries:
     """A Laurent series in q known modulo q^order.
 

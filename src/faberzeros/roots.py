@@ -202,7 +202,6 @@ def truncated_exp_poly(d: int) -> ComplexPoly:
         raise DomainError(f"truncated exponential of degree {d}: {exc}") from None
 
 
-@lru_cache(maxsize=None)
 def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     """The inverse zeros z_{D,r}: reciprocals of the roots of 1 + t + ... + t^D/D!.
 
@@ -212,9 +211,17 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     roots they are.
 
     The result depends on (d, tol) alone, so it is memoized per (d, tol)
-    and the one immutable RootSet is shared by every caller; a call that
-    raises is not cached and raises again when repeated.
+    value, whether tol is passed by position, by keyword or left at its
+    default, and the one immutable RootSet is shared by every caller; a
+    call that raises is not cached and raises again when repeated.
+    ``cache_info`` and ``cache_clear`` are the memo's, and ``__wrapped__``
+    is the unmemoized solve.
     """
+    return _exp_inverse_zeros_memo(d, tol)
+
+
+def _exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
+    """The solve behind truncated_exp_inverse_zeros."""
     t_roots = find_roots(truncated_exp_poly(d), tol=tol)
     inv = sorted((1.0 / t for t in t_roots.roots), key=_sort_key)
     g = [1.0 / math.factorial(r) for r in range(d + 1)]
@@ -222,6 +229,12 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     if not residual <= tol:  # also refuses a NaN residual
         raise NumericalError(f"inverse-zero residual {residual:.3e} exceeds {tol:.1e}", best=tuple(inv))
     return RootSet(roots=tuple(inv), residual=residual)
+
+
+_exp_inverse_zeros_memo = lru_cache(maxsize=None)(_exp_inverse_zeros)
+truncated_exp_inverse_zeros.cache_info = _exp_inverse_zeros_memo.cache_info
+truncated_exp_inverse_zeros.cache_clear = _exp_inverse_zeros_memo.cache_clear
+truncated_exp_inverse_zeros.__wrapped__ = _exp_inverse_zeros
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -425,6 +426,26 @@ def test_verify_solves_each_faber_polynomial_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--D", "4", "--k-min", "2400", "--k-max", "19200")
     assert code == EXIT_OK
     assert solved == [2400, 4800, 9600, 19200]
+
+
+def test_verify_ratio_bound_is_the_fraction_rule():
+    # rows hold k * |dev| as (n, d); "bounded" is v <= 3/2 v_0 on the exact values
+    def fraction_rule(ratios):
+        values = [Fraction(n, d) for n, d in ratios]
+        return all(v <= Fraction(3, 2) * values[0] for v in values)
+
+    rng = random.Random(13)
+    cases = [[(2347, 2), (7041, 4)], [(2347, 2), (7042, 4)], [(2347, 2), (7040, 4)], [(0, 1), (0, 7)]]
+    for _ in range(400):
+        n0, d0 = rng.randrange(10**12), rng.randrange(1, 10**6)
+        ratios = [(n0, d0)]
+        for _ in range(rng.randrange(6)):
+            d = rng.randrange(1, 10**6)
+            ratios.append((3 * n0 * d // (2 * d0) + rng.randrange(-2, 3), d))  # near the bound
+        cases.append([(max(n, 0), d) for n, d in ratios])
+    assert cli._ratios_bounded(cases[0]) and not cli._ratios_bounded(cases[1])  # exactly 3/2, just past
+    for ratios in cases:
+        assert cli._ratios_bounded(ratios) == fraction_rule(ratios), ratios
 
 
 def test_verify_rejects_large_degree(capsys):

@@ -36,11 +36,11 @@ GOLDEN = [
     ("faber --k 2400 --m last-8 --format pretty", 0,
      "1fa2e6dcb0ddc96b0cb19550b8a81021f89852455eddfc0ceae4b5d0939c586e"),
     ("zeros --k 240000 --m last-8 --format json", 0,
-     "968f41f3ba6d18459ec4db62903892b4a754b8c7ee75d198c696cc59ba41d27b"),
+     "a07a5cdc8d50103237932438b3c84036d4a12e70d589c726da76ba9907d237b3"),
     ("zeros --k 240000 --m last-8 --format csv", 0,
-     "d222f2312a43081e6b22036ae1d667746dcd5d3461b6672eba2137891e4ddafa"),
+     "c2a21d9edce659669e59692ed338d4144fcd1a05966fc2c5093b8cd6fadbad92"),
     ("zeros --k 240000 --m last-8 --format pretty", 0,
-     "04a1bb1240f9c83c0543289cb5dddc0ea6b07a8df7c7efd5227a7d52142dc8fd"),
+     "f16180e84cff127e6c4a426d5411364c62178f50c857a3906685c1d7266374ee"),
     ("exp-zeros --D 8 --format json", 0,
      "046f07b08b62b1614759a45e919cfc29688f98acd3d0c4ce3b256dc120d8bcb5"),
     ("exp-zeros --D 8 --format csv", 0,
@@ -91,16 +91,16 @@ GOLDEN = [
     ("basis --k 240 --format pretty", 0,
      "6215183e86dfcd966d02dc87353c3f649b86cc7b8f1f572df1f7363076a42bf4"),
     ("zeros --k 240000 --m last-21", 0,
-     "fb8dd2eb14370544b0b8603099afb0e39f6dfd908492e7db0c3f242a1c8d65ec"),
+     "6ccdaa1bd6e23fa00575077844e50104e278618901a6cc9b539dde5b5626cc28"),
     ("zeros --k 24 --m 0", 0, "22ba0970d43dd68b8cbae66f152183c1aa6f3ee3088a70377c3c5243b0a49bbd"),
     ("verify --D 8 --k-min 2400 --k-max 614400", 1,
-     "d36604dca1c1c2ac2ddb0b4f18f63dc8a87cd8acb02fbeb89c8ef4db3f508c15"),
+     "06e7543475607fc4f01bff6a272965c8a653738e22ff1710f71029eee6ec1820"),
     ("verify --D 8 --k-min 1316 --k-max 25000000", 1,
-     "e286d49bdd6cb59274ba194a2a7dc4d7dc7e54c497a579b71d7a341600be9c22"),
+     "9c19f0b72fcbf4f232519d206da90580e3868afd718a59d65aca892733310be2"),
     ("verify --D 8 --k-min 1316 --k-max 25000000 --format json", 1,
-     "d0f243fc184e51601696b53e3d41925760feaa107005ab8e75d05ccd01f3b538"),
+     "ee99ae2d21990fcbbfc39846d6ecf9cdd66e977ae43cc5921b5072b89671bc8e"),
     ("verify --D 8 --k-min 1316 --k-max 25000000 --format csv", 1,
-     "feaa88e3ed8b355d100ee0e4c2e71b645f0ed745640f5b2c9294cb0bbc4e1827"),
+     "e9aed61d2a439d701a8e2fc0acf8191bf0884efc3c411dfc25a5bcbcfb438612"),
     ("exp-zeros --D 21", 0, "11b3d1a09e5da3ec7d1a96c1c9c968853c062eaf1fe2ce6525f4f69e03cbb62e"),
     ("exp-zeros --D 22", 3, EMPTY),
     ("exp-zeros --D 171", 2, EMPTY),

@@ -1,8 +1,11 @@
 """Cross-module edge cases: degenerate degrees, huge weights, CLI schemas."""
 
+import copy
+import dataclasses
 import importlib
 import json
 import math
+import pickle
 import pkgutil
 import time
 from fractions import Fraction
@@ -15,7 +18,7 @@ from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial, horner, principal_part
 from faberzeros.halfplane import invert_j, zero_report
 from faberzeros.modforms import decompose_weight, miller_basis_series, miller_form_spec
-from faberzeros.qseries import TruncatedSeries
+from faberzeros.qseries import TruncatedSeries, j_series
 from faberzeros.roots import find_roots, scaled_faber_roots, truncated_exp_inverse_zeros, truncated_exp_poly
 
 
@@ -227,6 +230,36 @@ def test_library_rejects_tolerance_below_double_precision(entry, tol):
     # no double-precision residual can certify a tolerance under machine epsilon
     with pytest.raises(DomainError, match="below the double-precision epsilon"):
         TOLERANCE_ENTRY_POINTS[entry](tol)
+
+
+# --- slotted value types ------------------------------------------------------------
+
+
+def _value(name):
+    report = zero_report(miller_form_spec(240000, decompose_weight(240000).ell - 2))
+    return {
+        "TruncatedSeries": j_series(5),
+        "FaberPoly": report.faber,
+        "HalfPlanePoint": report.rows[0].tau,
+        "ZeroReportRow": report.rows[0],
+        "ZeroReport": report,
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name", ["TruncatedSeries", "FaberPoly", "HalfPlanePoint", "ZeroReportRow", "ZeroReport"]
+)
+def test_value_types_refuse_every_name_and_copy_whole(name):
+    obj = _value(name)
+    assert type(obj).__name__ == name and not hasattr(obj, "__dict__")
+    field = dataclasses.fields(obj)[0].name
+    for attr in (field, "extra"):  # a name that is no field used to raise TypeError
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, attr)
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(twin) is type(obj) and twin == obj
 
 
 # --- exports ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ GOLDEN = [
     (
         240000, 4, (Fr(1, 3), -2, 5, 0),
         ("1", "1431073/3", "114132052934", "18261478108275025", "6594701347445411117632/3"),
-        "7013b42bdf8da7ee2bb81436d14429164112b90bfe96d93c639efcf343bcb91e",
+        "ff29a2ebe2822efe173d2a1811aed45dd7ed937b9263374fd08d784facb78b49",
     ),
     (
         240004, 3, (Fr(-7, 2), 11, Fr(5, 9)),
@@ -62,16 +62,16 @@ GOLDEN = [
     (
         24000006, 2, (Fr(1, 5), -13),
         ("1", "239995081/5", "1151988561655379"),
-        "ef4212fb9df668c66b396e1496e2069abea92540a46066d84007176c1189066a",
+        "d6f98470354253520001461a029ec6688ce8681073f867e1e3bb8f7c0c79057d",
     ),
 ]
 
 
 # digest of invert_j(t).tau over _inversion_grid(), per tolerance
 GOLDEN_INVERT_J = {
-    1e-10: "d56552ce0dfe9717be2af76411def36452098ae0f35f449e254ba22dadd453b5",
-    2.3e-16: "ab3dc2005271bdfa4529f8adc43ee4227462b1743b593176824450af4f764878",
-    0.001: "d56552ce0dfe9717be2af76411def36452098ae0f35f449e254ba22dadd453b5",
+    1e-10: "622fa4576a57a35a5a5c51c662b4405dba923a98243a39634ef68f6eb949a135",
+    2.3e-16: "76e3ec16b8f24d56cd2119d512fda4898b0a0525b0f503d09f5bf2429e16829e",
+    0.001: "622fa4576a57a35a5a5c51c662b4405dba923a98243a39634ef68f6eb949a135",
 }
 
 # digest of evaluate_j(tau, terms) over _evaluation_grid(), per term count

@@ -265,6 +265,16 @@ def test_exp_inverse_zeros_cached_per_tolerance():
     assert truncated_exp_inverse_zeros(9, tol=1e-12) is tight
 
 
+def test_exp_inverse_zeros_one_entry_per_tolerance_value():
+    truncated_exp_inverse_zeros.cache_clear()
+    default = truncated_exp_inverse_zeros(7)
+    assert truncated_exp_inverse_zeros(7, 1e-10) is default
+    assert truncated_exp_inverse_zeros(7, tol=1e-10) is default
+    assert truncated_exp_inverse_zeros(d=7, tol=1e-10) is default
+    info = truncated_exp_inverse_zeros.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 # --- ostrowski bound ----------------------------------------------------------------
 
 
