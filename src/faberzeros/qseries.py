@@ -174,16 +174,6 @@ class TruncatedSeries:
             raise DomainError("order must be >= 1 to represent the constant 1")
         return cls(0, [1] + [0] * (order - 1), order)
 
-    @classmethod
-    def from_terms(cls, terms: dict, order: int) -> "TruncatedSeries":
-        """Build a series from an {exponent: coefficient} mapping, modulo q^order."""
-        live = {n: c for n, c in terms.items() if n < order and c != 0}
-        if not live:
-            return cls.zero(order)
-        v = min(live)
-        coeffs = [live.get(n, 0) for n in range(v, order)]
-        return cls(v, coeffs, order)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -210,36 +200,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.valuation + d, self.coeffs, self.order + d)
 
     # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        order = min(self.order, other.order)
-        v = min(self.valuation, other.valuation, order)
-        if v == order:
-            return TruncatedSeries.zero(order)
-
-        def at(s, n):
-            i = n - s.valuation
-            return s.coeffs[i] if 0 <= i < len(s.coeffs) else 0
-
-        coeffs = [at(self, n) + at(other, n) for n in range(v, order)]
-        return TruncatedSeries(v, coeffs, order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.valuation, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "TruncatedSeries":
-        """Multiply by an exact scalar."""
-        c = _exact(c)
-        if c == 0:
-            return TruncatedSeries.zero(self.order)
-        return TruncatedSeries(self.valuation, [c * x for x in self.coeffs], self.order)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):

@@ -10,8 +10,12 @@ fundamental domain, and the plain forms of six kernels: the dense
 Miller power recurrence, the principal part as one product of
 ``TruncatedSeries``, the j-power table as a chain of convolutions with
 q*j, the column-by-column triangular Faber solve, the Miller basis
-back-substitution in ``TruncatedSeries`` arithmetic, and the bottleneck
-root matching as a binary search over every candidate distance.
+back-substitution on whole series, and the bottleneck root matching as a
+binary search over every candidate distance.
+
+``TruncatedSeries`` has products, powers and inverses only; the sums,
+differences and scalar multiples the oracles need are formed here on
+plain coefficient lists and rebuilt with its constructor.
 """
 
 import math
@@ -90,10 +94,28 @@ def series_principal_part(spec) -> tuple:
     return tuple(_divide([a.coeff(i) for i in range(order)], scale))
 
 
+def series_sum(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a + b modulo q^min(a.order, b.order), added coefficient by coefficient
+    from the smaller valuation."""
+    order = min(a.order, b.order)
+    v = min(a.valuation, b.valuation, order)
+    return TruncatedSeries(v, [a.coeff(n) + b.coeff(n) for n in range(v, order)], order)
+
+
+def series_difference(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """a - b modulo q^min(a.order, b.order)."""
+    return series_sum(a, series_scaled(-1, b))
+
+
+def series_scaled(c, s: TruncatedSeries) -> TruncatedSeries:
+    """c * s for an exact scalar c, known to the same order as s."""
+    return TruncatedSeries(s.valuation, [c * x for x in s.coeffs], s.order)
+
+
 def series_miller_basis(k: int, order: int) -> list[TruncatedSeries]:
     """The Miller basis modulo q^order from the spanning elements
     Delta^i E_{k'} E_4^(3(ell-i)), cleared at q^(i+1)..q^ell by a
-    back-substitution in TruncatedSeries arithmetic (order >= ell + 1)."""
+    back-substitution by ``series_difference`` (order >= ell + 1)."""
     weight = decompose_weight(k)
     ell = weight.ell
     e4 = eisenstein_series(4, order)
@@ -106,7 +128,7 @@ def series_miller_basis(k: int, order: int) -> list[TruncatedSeries]:
         for i in range(j):
             c = basis[i].coeff(j)
             if c != 0:
-                basis[i] = basis[i] - basis[j].scale(c)
+                basis[i] = series_difference(basis[i], series_scaled(c, basis[j]))
     return basis
 
 
@@ -220,7 +242,7 @@ def scaled_roots_oracle(f: FaberPoly, dps: int = 60) -> list[complex]:
 
 
 def plus_constant(series: TruncatedSeries, c) -> TruncatedSeries:
-    """series + c for an exact constant c; unlike ``+`` this never shrinks the validity.
+    """series + c for an exact constant c; unlike ``series_sum`` this never shrinks the validity.
 
     If the constant term lies at or beyond the truncation order the
     known part is unchanged.
@@ -237,7 +259,7 @@ def plus_constant(series: TruncatedSeries, c) -> TruncatedSeries:
 def evaluate_series(poly: FaberPoly, s: TruncatedSeries) -> TruncatedSeries:
     """F(s) by Horner's rule at a series argument (used to verify f = Delta^ell E_k' F(j))."""
     big = s.order + (poly.degree + 1) * max(1, -min(s.valuation, 0)) + 1
-    acc = TruncatedSeries.one(big).scale(poly.coeffs[0])
+    acc = series_scaled(poly.coeffs[0], TruncatedSeries.one(big))
     for c in poly.coeffs[1:]:
         acc = plus_constant(acc * s, c)
     return acc

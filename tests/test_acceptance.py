@@ -6,9 +6,10 @@ run time.  Two sub-assertions are knowingly red and kept faithful rather
 than loosened:
 
 * criterion 4: the D = 4 deviation sequences for s in {2, 3} converge to
-  limits (2230.5 and ~2224) that exceed 1.5x their first grid entry, so
-  the stated 1.5x bound cannot hold (the sequences are bounded and
-  monotone, which test_faber.py verifies);
+  limits (exactly 4461/2 = 2230.5 and 4455/2 = 2227.5, the values of |c_s|
+  for c_s = -372 s D + (1491/4) s (s-1) at D = 4, k' = 0) that exceed
+  1.5x their first grid entry, so the stated 1.5x bound cannot hold (the
+  sequences are bounded and monotone, which test_faber.py verifies);
 * criterion 6: the stated D = 1 constant 744/(4 pi) presumes the crude
   inversion j ~ 1/q; the constant term 744 of j cancels the -744 in the
   Faber root exactly, so the true k-scaled error is ~196884/(8 pi k),
@@ -37,7 +38,7 @@ from faberzeros.roots import (
     match_roots,
     truncated_exp_inverse_zeros,
 )
-from oracles import closed_form_check, in_fundamental_domain, ostrowski_bound
+from oracles import closed_form_check, in_fundamental_domain, ostrowski_bound, series_sum
 
 
 def run_criterion(num, description, budget_seconds, body):
@@ -241,7 +242,7 @@ def test_criterion_8_infrastructure():
         for _ in range(200):
             a, b, c = random_series(), random_series(), random_series()
             agree((a * b) * c, a * (b * c))
-            agree(a * (b + c), a * b + a * c)
+            agree(a * series_sum(b, c), series_sum(a * b, a * c))
             if not a.is_zero():
                 prod = a * a.inverse()
                 agree(prod, TruncatedSeries.one(max(prod.order, 1)))

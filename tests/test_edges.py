@@ -144,8 +144,8 @@ def test_series_str_formats():
     assert str(TruncatedSeries.zero(3)) == "O(q^3)"
 
 
-def test_series_from_terms_and_shift():
-    s = TruncatedSeries.from_terms({2: 5, -1: Fraction(1, 3)}, 4)
+def test_series_shift_moves_valuation_and_order():
+    s = TruncatedSeries(-1, [Fraction(1, 3), 0, 0, 5, 0], 4)
     assert s.valuation == -1 and s.coeff(2) == 5
     shifted = s.shift(2)
     assert shifted.valuation == 1 and shifted.order == 6

@@ -29,7 +29,7 @@ from faberzeros.halfplane import (
 from faberzeros.modforms import decompose_weight, miller_form_spec
 from faberzeros.qseries import TruncatedSeries, _power, j_series
 from faberzeros.roots import scaled_faber_roots, truncated_exp_inverse_zeros
-from oracles import in_fundamental_domain
+from oracles import in_fundamental_domain, series_difference, series_scaled, series_sum
 
 
 def j_oracle(tau):
@@ -239,10 +239,10 @@ def test_truncated_inverse_series_solves_j_to_its_order():
     *a, a_next = _inverse_series_coefficients(n + 1)
     q = TruncatedSeries(1, a, n + 1)
     u = j_series(n).coeffs
-    composed = TruncatedSeries.one(n + 1).scale(u[0])
+    composed = series_scaled(u[0], TruncatedSeries.one(n + 1))
     for i in range(1, n + 1):
-        composed = composed + (q**i).scale(u[i])
-    residual = composed - TruncatedSeries(0, a + [0], n + 1)
+        composed = series_sum(composed, series_scaled(u[i], q**i))
+    residual = series_difference(composed, TruncatedSeries(0, a + [0], n + 1))
     assert (residual.valuation, residual.coeffs) == (n, (a_next,))
 
 
