@@ -261,7 +261,11 @@ def _emit_points(weights, args: argparse.Namespace) -> None:
     log, two_pi = math.log, 2 * math.pi
     cells = [0] * (2 * len(weights) * len(radii))
     cells[0::2] = [k for k in weights for _ in radii]
-    cells[1::2] = [log(2 * k * z_abs) / two_pi for k in weights for z_abs in radii]
+    # 2k as a float once per weight: int * float first tries the int slot, which
+    # returns NotImplemented, and then multiplies the same two doubles
+    cells[1::2] = [
+        log(two_k * z_abs) / two_pi for k in weights for two_k in [float(2 * k)] for z_abs in radii
+    ]
     template = f"{head}{sep.join([sep.join(rows)] * len(weights))}{tail}"
     _emit(template % tuple(cells), args)
 

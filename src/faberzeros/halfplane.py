@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import lru_cache
 
 from ._frozen import frozen_dataclass
@@ -27,6 +28,7 @@ __all__ = [
     "MIN_J_MODULUS",
     "MAX_J_MODULUS",
     "MIN_IM_FOR_SERIES",
+    "MIN_INVERT_TOL",
     "HalfPlanePoint",
     "ZeroReportRow",
     "ZeroReport",
@@ -40,6 +42,9 @@ __all__ = [
 MIN_J_MODULUS = 2000.0  # below this, Newton inversion of the truncated series is refused
 MAX_J_MODULUS = 1e150  # above this, q^2 ~ 1/t^2 in the Newton step is no longer a normal double
 MIN_IM_FOR_SERIES = 0.8  # guarantees |q| <= e^(-1.6 pi), fast tail decay
+# below this, invert_j's tolerance can be unreachable: Newton's rounding floor |j(q) - t|
+# is often 1.1-1.3 eps |t|, and of 40 000 seeded t it missed tol = 1.5 eps on 9, 2 eps on none
+MIN_INVERT_TOL = 4 * sys.float_info.epsilon
 _BOUNDARY_EPS = 1e-12
 # invert_j's terms of j: its roots have |q| <= 2/|t| <= 1e-3, where by Brisebarre-Philibert,
 # c(n) <= e^(4 pi sqrt(n)) / (sqrt(2) n^(3/4)), the omitted tail sum_{n>=15} c(n) |q|^n is
@@ -77,6 +82,16 @@ def _inverse_j_descending() -> tuple[float, ...]:
     return tuple(float(_power(u, n, n)[-1] // n) for n in range(_START_TERMS, 0, -1))
 
 
+def _check_inversion_tolerance(tol: float) -> None:
+    """_check_tolerance, then refuse a tolerance under MIN_INVERT_TOL that Newton may not reach."""
+    _check_tolerance(tol)
+    if tol < MIN_INVERT_TOL:
+        raise DomainError(
+            f"tolerance {tol} is below {MIN_INVERT_TOL:.3g} (4 x the double-precision "
+            f"epsilon): j-inversion cannot always reach it"
+        )
+
+
 def _upper_half_plane(tau) -> complex:
     """tau as a complex number with a finite real part and 0 < Im(tau) < inf."""
     tau = complex(tau)
@@ -97,10 +112,11 @@ class HalfPlanePoint:
 
 def _j_at(q: complex, unit) -> tuple[complex, complex]:
     """j = 1/q + P(q) and dj/dq = P'(q) - 1/q^2, with one Horner pass over the
-    unit part P (``unit`` from _j_unit_descending)."""
+    unit part P (``unit`` from _j_unit_descending).  The reciprocals divide
+    the complex 1 + 0j, the same bits as 1.0 without the float slot's detour."""
     p, dp = horner(unit, q)
     q2 = q * q  # 0 once |q| < 1e-162, where |dj/dq| is past the double range: inf
-    return 1.0 / q + p, dp - 1.0 / q2 if q2 else math.inf
+    return (1 + 0j) / q + p, dp - (1 + 0j) / q2 if q2 else math.inf
 
 
 def evaluate_j(tau: complex, terms: int = 32) -> complex:
@@ -136,9 +152,10 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     |j(q) - t| is within tol * |t| / 2 it goes on while the residual at
     least halves, and keeps the better of the last two iterates; a final
     residual above tol * |t| raises NumericalError.  The real part of the
-    result is normalized into [-1/2, 1/2).
+    result is normalized into [-1/2, 1/2).  A tol below MIN_INVERT_TOL =
+    4 eps raises DomainError: the rounding floor can lie above it.
     """
-    _check_tolerance(tol)
+    _check_inversion_tolerance(tol)
     t = complex(t)
     if abs(t) < MIN_J_MODULUS:
         raise DomainError(f"{OUT_OF_REGIME}: |t| = {abs(t):.6g} < {MIN_J_MODULUS:.0f}")
@@ -146,7 +163,7 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
         raise DomainError(f"|t| = {abs(t):.6g} is not <= {MAX_J_MODULUS:.0e}: q^2 would underflow")
     target = tol * abs(t)
     unit = _j_unit_descending(_INVERT_TERMS)
-    eps = 1.0 / t
+    eps = (1 + 0j) / t
     q = eps * horner(_inverse_j_descending(), eps)[0]
     residual = math.inf
     for _ in range(60):
@@ -291,9 +308,10 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     displacement |t_r - 2k z_{D,r}|.  With strict=True any root outside the
     inversion regime (|t| < 2000) raises DomainError; with strict=False such
     rows carry no actual tau, hence status OUT_OF_REGIME (nothing is dropped).
-    Rows are indexed by the inverse zeros' sorted order.
+    Rows are indexed by the inverse zeros' sorted order.  A tol below
+    MIN_INVERT_TOL raises DomainError before any solve, as in invert_j.
     """
-    _check_tolerance(tol)
+    _check_inversion_tolerance(tol)
     d = spec.degree
     if d == 0:
         return ZeroReport(faber=faber_polynomial(spec), rows=())

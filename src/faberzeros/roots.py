@@ -151,32 +151,40 @@ def find_roots(p: ComplexPoly, tol: float = 1e-10, *, start=None) -> RootSet:
     else:
         z = _starts(start, n)
 
+    # Every operand in the sweep is complex.  1.0 / z first tries the float slot,
+    # which returns NotImplemented, and then runs the same complex division as
+    # (1 + 0j) / z; `not z` is `z == 0` without comparing against an int.  So the
+    # sweep gives the same bits as with float operands, faster.
     for _ in range(_MAX_ITER):
         moved = 0.0
         for i in range(n):
-            pv, dpv = horner(coeffs, z[i])
-            if pv == 0:
+            zi = z[i]
+            pv, dpv = horner(coeffs, zi)
+            if not pv:
                 continue
-            if dpv == 0:
-                z[i] += 1e-8 * (1 + abs(z[i]))
+            if not dpv:
+                z[i] = zi + 1e-8 * (1 + abs(zi))
                 moved = math.inf
                 continue
             w = pv / dpv
             s = 0j
             for j in range(n):
                 if j != i:
-                    diff = z[i] - z[j]
-                    if diff == 0:
-                        diff = 1e-14 * (1 + abs(z[i]))
-                    s += 1.0 / diff
-            denom = 1.0 - w * s
-            if denom == 0:
-                z[i] += 1e-8 * (1 + abs(z[i]))
+                    diff = zi - z[j]
+                    if not diff:
+                        diff = 1e-14 * (1 + abs(zi))
+                    s += (1 + 0j) / diff
+            denom = (1 + 0j) - w * s
+            if not denom:
+                z[i] = zi + 1e-8 * (1 + abs(zi))
                 moved = math.inf
                 continue
             delta = w / denom
-            z[i] -= delta
-            moved = max(moved, abs(delta) / (1.0 + abs(z[i])))
+            zi -= delta
+            z[i] = zi
+            step = abs(delta) / (1.0 + abs(zi))
+            if step > moved:
+                moved = step
         if moved <= _CONVERGED:
             break
 

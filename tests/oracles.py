@@ -10,21 +10,23 @@ fundamental domain, and the plain forms of six kernels: the dense
 Miller power recurrence, the principal part as one product of
 ``TruncatedSeries``, the j-power table as a chain of convolutions with
 q*j, the column-by-column triangular Faber solve, the Miller basis
-back-substitution on whole series, and the bottleneck root matching as a
-binary search over every candidate distance.
+back-substitution on whole series, the bottleneck root matching as a
+binary search over every candidate distance, and the Aberth solve as it
+was written before its sweep kept every operand complex.
 
 ``TruncatedSeries`` has products, powers and inverses only; the sums,
 differences and scalar multiples the oracles need are formed here on
 plain coefficient lists and rebuilt with its constructor.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath
 
-from faberzeros.errors import DomainError
-from faberzeros.faber import FaberPoly, faber_polynomial, j_power_table, principal_part
+from faberzeros.errors import DomainError, NumericalError
+from faberzeros.faber import FaberPoly, faber_polynomial, horner, j_power_table, principal_part
 from faberzeros.halfplane import _BOUNDARY_EPS
 from faberzeros.modforms import decompose_weight, miller_form_spec
 from faberzeros.qseries import (
@@ -39,7 +41,10 @@ from faberzeros.qseries import (
     gamma_k,
     j_series,
 )
-from faberzeros.roots import ComplexPoly, Pairing
+from faberzeros.roots import (
+    _ABERTH_OFFSET, _CONVERGED, _MAX_ITER, ComplexPoly, Pairing, RootSet, _check_tolerance,
+    _sort_key, _starts,
+)
 
 
 def closed_form_poly(k: int, m: int) -> FaberPoly:
@@ -195,6 +200,59 @@ def binary_search_match_roots(a, b) -> Pairing:
             lo = mid + 1
     threshold, match_of_y = best
     return Pairing(pairs=tuple(sorted((i, j) for j, i in enumerate(match_of_y))), max_distance=threshold)
+
+
+def mixed_operand_find_roots(p: ComplexPoly, tol: float = 1e-10, *, start=None) -> RootSet:
+    """``roots.find_roots`` with its sweep in the mixed float/int and complex
+    spelling (``1.0 / diff``, ``1.0 - w * s``, ``== 0``, ``max``), kept verbatim
+    so that the all-complex sweep can be checked to give the same bits."""
+    _check_tolerance(tol)
+    n = p.degree
+    coeffs = p.coeffs
+    scale = max(abs(c) for c in coeffs)
+    if start is None:
+        radius = (1.0 + sum(abs(c) for c in coeffs[1:])) ** (1.0 / n)
+        z = [radius * cmath.exp(1j * (2 * math.pi * i / n + _ABERTH_OFFSET)) for i in range(n)]
+    else:
+        z = _starts(start, n)
+
+    for _ in range(_MAX_ITER):
+        moved = 0.0
+        for i in range(n):
+            pv, dpv = horner(coeffs, z[i])
+            if pv == 0:
+                continue
+            if dpv == 0:
+                z[i] += 1e-8 * (1 + abs(z[i]))
+                moved = math.inf
+                continue
+            w = pv / dpv
+            s = 0j
+            for j in range(n):
+                if j != i:
+                    diff = z[i] - z[j]
+                    if diff == 0:
+                        diff = 1e-14 * (1 + abs(z[i]))
+                    s += 1.0 / diff
+            denom = 1.0 - w * s
+            if denom == 0:
+                z[i] += 1e-8 * (1 + abs(z[i]))
+                moved = math.inf
+                continue
+            delta = w / denom
+            z[i] -= delta
+            moved = max(moved, abs(delta) / (1.0 + abs(z[i])))
+        if moved <= _CONVERGED:
+            break
+
+    residual = max(abs(horner(coeffs, zi)[0]) for zi in z)
+    if not residual <= tol * scale:  # also refuses a NaN residual
+        raise NumericalError(
+            f"root finder residual {residual:.3e} exceeds {tol:.1e} * scale", best=tuple(z)
+        )
+    if start is None:
+        z.sort(key=_sort_key)
+    return RootSet(roots=tuple(z), residual=residual)
 
 
 def ostrowski_bound(p: ComplexPoly, q: ComplexPoly) -> float:

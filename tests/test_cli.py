@@ -280,6 +280,25 @@ def test_tolerance_below_double_precision_is_refused_up_front(capsys, argv, tol)
     assert "below the double-precision epsilon" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("zeros", "--k", "240000", "--m", "last-8"), ("verify", "--D", "4", "--k-min", "2400", "--k-max", "19200")],
+    ids=["zeros", "verify"],
+)
+def test_tolerance_below_the_inversion_floor_is_refused_before_any_solve(capsys, monkeypatch, argv):
+    # 3e-16 passes the epsilon check, but j-inversion needs at least 4 eps
+    solved = []
+    for name in ("truncated_exp_inverse_zeros", "faber_polynomial"):
+        monkeypatch.setattr(halfplane, name, lambda *args, **kw: solved.append(args))
+    code, out, err = run(capsys, *argv, "--tol", "3e-16")
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == (
+        "faberzeros: invalid input: tolerance 3e-16 is below 8.88e-16 (4 x the "
+        "double-precision epsilon): j-inversion cannot always reach it\n"
+    )
+    assert solved == []
+
+
 def test_m_alias_last(capsys):
     code, out, _ = run(capsys, "faber", "--k", "24", "--m", "last")
     assert code == EXIT_OK and json.loads(out)["m"] == 2

@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 import pkgutil
+import sys
 import time
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import faberzeros
 from faberzeros.cli import EXIT_INVALID, EXIT_OK, main
 from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial, horner, principal_part
-from faberzeros.halfplane import invert_j, zero_report
+from faberzeros.halfplane import MIN_INVERT_TOL, invert_j, zero_report
 from faberzeros.modforms import decompose_weight, miller_basis_series, miller_form_spec
 from faberzeros.qseries import TruncatedSeries, j_series
 from faberzeros.roots import find_roots, scaled_faber_roots, truncated_exp_inverse_zeros, truncated_exp_poly
@@ -230,6 +231,24 @@ def test_library_rejects_tolerance_below_double_precision(entry, tol):
     # no double-precision residual can certify a tolerance under machine epsilon
     with pytest.raises(DomainError, match="below the double-precision epsilon"):
         TOLERANCE_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("entry", ["invert_j", "zero_report", "zero_report[D=0]"])
+@pytest.mark.parametrize(
+    "tol",
+    [sys.float_info.epsilon, 2.3e-16, 3e-16, math.nextafter(MIN_INVERT_TOL, 0)],
+    ids=["eps", "2.3e-16", "3e-16", "below-floor"],
+)
+def test_inversion_refuses_tolerance_below_its_floor(entry, tol):
+    # these pass the epsilon check, but Newton's rounding floor |j(q) - t| can lie
+    # above 1.5 eps |t|: refused up front instead of missed after the solve
+    with pytest.raises(DomainError, match="4 x the double-precision epsilon"):
+        TOLERANCE_ENTRY_POINTS[entry](tol)
+
+
+@pytest.mark.parametrize("entry", ["invert_j", "zero_report[D=0]"])
+def test_inversion_accepts_its_floor(entry):
+    TOLERANCE_ENTRY_POINTS[entry](MIN_INVERT_TOL)
 
 
 # --- slotted value types ------------------------------------------------------------

@@ -188,7 +188,7 @@ def _kernel_calls(spec):
     return calls
 
 
-@pytest.mark.parametrize("k_prime", [0, 4])
+@pytest.mark.parametrize("k_prime", ALLOWED_K_PRIME)
 def test_faber_kernel_calls_do_not_depend_on_the_weight(k_prime):
     # the north-star claim at D = 24: k = 2.4e5 and 2.4e7 run the same
     # products and powers on series of the same lengths, so only the size

@@ -34,7 +34,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from faberzeros import (
-    custom_form_spec, decompose_weight, evaluate_j, faber_polynomial, invert_j,
+    MIN_INVERT_TOL, custom_form_spec, decompose_weight, evaluate_j, faber_polynomial, invert_j,
     truncated_exp_inverse_zeros, zero_report,
 )
 from faberzeros.errors import NumericalError
@@ -67,10 +67,11 @@ GOLDEN = [
 ]
 
 
-# digest of invert_j(t).tau over _inversion_grid(), per tolerance
+# digest of invert_j(t).tau over _inversion_grid(), per tolerance; Newton runs to the
+# rounding floor, so on this grid the smallest accepted tolerance gives the same tau as 1e-10
 GOLDEN_INVERT_J = {
     1e-10: "622fa4576a57a35a5a5c51c662b4405dba923a98243a39634ef68f6eb949a135",
-    2.3e-16: "76e3ec16b8f24d56cd2119d512fda4898b0a0525b0f503d09f5bf2429e16829e",
+    MIN_INVERT_TOL: "622fa4576a57a35a5a5c51c662b4405dba923a98243a39634ef68f6eb949a135",
     0.001: "622fa4576a57a35a5a5c51c662b4405dba923a98243a39634ef68f6eb949a135",
 }
 
@@ -176,7 +177,7 @@ def _inverse_zeros_text(d: int) -> list[str]:
 def record_float_layer() -> tuple[dict, dict, dict]:
     """The float-layer digests, computed by the current checkout."""
     return (
-        {tol: _digest(_inversion_text(tol)) for tol in (1e-10, 2.3e-16, 1e-3)},
+        {tol: _digest(_inversion_text(tol)) for tol in (1e-10, MIN_INVERT_TOL, 1e-3)},
         {terms: _digest(_evaluation_text(terms)) for terms in (2, 12, 32, 60)},
         {d: _digest(_inverse_zeros_text(d)) for d in range(1, 22)},
     )
@@ -196,6 +197,17 @@ def test_custom_window_is_bit_identical(k, d, a, coeffs, rows_digest):
 )
 def test_invert_j_is_bit_identical(tol, digest):
     assert _digest(_inversion_text(tol)) == digest
+
+
+def test_invert_j_reaches_its_tolerance_floor():
+    # a miss raises NumericalError; at tol = 2.3e-16 9 of the grid's 308 t did
+    rng = random.Random(29)
+    seeded = [
+        cmath.rect(10 ** rng.uniform(math.log10(2000), 150), rng.uniform(-math.pi, math.pi))
+        for _ in range(2000)
+    ]
+    for t in _inversion_grid() + seeded:
+        invert_j(t, tol=MIN_INVERT_TOL)
 
 
 @pytest.mark.parametrize(

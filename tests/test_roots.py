@@ -23,7 +23,8 @@ from faberzeros.roots import (
     truncated_exp_poly,
 )
 from oracles import (
-    binary_search_match_roots, companion_roots, ostrowski_bound, scaled_roots_oracle,
+    binary_search_match_roots, companion_roots, mixed_operand_find_roots, ostrowski_bound,
+    scaled_roots_oracle,
 )
 
 
@@ -577,3 +578,53 @@ def test_starts_at_the_limits_keep_the_roots_as_accurate_as_the_circle(d):
             worst[name] = max(worst[name], max(min(abs(z - e) for e in exact) for z in got))
     assert worst["circle"] < 1e-11, worst
     assert worst["limits"] <= 2 * worst["circle"], worst
+
+
+# --- the sweep's arithmetic --------------------------------------------------------
+
+
+def _solve_bits(solve, p, start):
+    """The bits of a solve's roots and residual, or of the iterates it raised with."""
+    try:
+        got = solve(p, start=start)
+    except NumericalError as exc:
+        return "raised", [(z.real.hex(), z.imag.hex()) for z in exc.best]
+    return [(z.real.hex(), z.imag.hex()) for z in got.roots], got.residual.hex()
+
+
+def _same_sweep(p, start=None):
+    want = _solve_bits(mixed_operand_find_roots, p, start)
+    assert _solve_bits(find_roots, p, start) == want
+    return want
+
+
+def test_sweep_equals_the_mixed_operand_sweep_on_faber_polynomials():
+    # g_k started at its limits, as zero_report solves it: every sweep up to the
+    # 500-sweep cap that D >= 14 runs into must give the same roots, bit for bit
+    rng = random.Random(27)
+    for d in range(1, 22):
+        k_prime = rng.choice((0, 4, 6, 8, 10, 14))
+        k = 12 * round(math.exp(rng.uniform(math.log(2.4e4), math.log(2.4e7))) / 12) + k_prime
+        f = faber_polynomial(miller_form_spec(k, decompose_weight(k).ell - d))
+        two_k = 2 * k
+        g = ComplexPoly.from_coefficients(
+            c.numerator / (c.denominator * two_k**s) for s, c in enumerate(f.coeffs)
+        )
+        assert _same_sweep(g, truncated_exp_inverse_zeros(d).roots)[0] != "raised", (d, k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9, 12, 16, 21])
+def test_sweep_equals_the_mixed_operand_sweep_on_the_circle(d):
+    _same_sweep(truncated_exp_poly(d))
+
+
+@pytest.mark.parametrize(
+    "start",
+    [[1, -0.5], [0, 2], [0, 1], [2, 1.25], [2, 0.5]],
+    ids=["on-a-root", "critical-point", "both", "zero-denominator", "colliding-iterates"],
+)
+def test_sweep_equals_the_mixed_operand_sweep_on_degenerate_starts(start):
+    # z^2 - 1, whose degenerate branches no workload reaches: p = 0 at the start 1
+    # skips it, p' = 0 at the start 0 nudges it; from (2, 5/4) the first step's
+    # 1 - w s is 0, and from (2, 1/2) it lands the first iterate on the second
+    _same_sweep(ComplexPoly.from_coefficients([1, 0, -1]), start)
