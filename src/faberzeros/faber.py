@@ -111,7 +111,7 @@ def j_power_table(d: int) -> tuple[tuple[int, ...], ...]:
 def _eisenstein_inverse(k_prime: int, order: int) -> TruncatedSeries:
     """1/E_{k'} modulo q^order, memoized per (k', order) like ``j_series``:
     the series is immutable, and a call that raises is not cached."""
-    return eisenstein_series(k_prime, order).inverse(order)
+    return eisenstein_series(k_prime, order).inverse()
 
 
 def principal_part(spec: ModularFormSpec) -> tuple[int | Fraction, ...]:

@@ -21,7 +21,8 @@ from .faber import FaberPoly, faber_polynomial, horner
 from .modforms import ModularFormSpec
 from .qseries import _power, j_series
 from .roots import (
-    _check_tolerance, _phase, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros,
+    _check_tolerance, _complex, _phase, match_roots, scaled_faber_roots,
+    truncated_exp_inverse_zeros,
 )
 
 __all__ = [
@@ -50,6 +51,9 @@ _BOUNDARY_EPS = 1e-12
 # c(n) <= e^(4 pi sqrt(n)) / (sqrt(2) n^(3/4)), the omitted tail sum_{n>=15} c(n) |q|^n is
 # below 1e-24, under a thousandth of the smallest residual target eps * 2000
 _INVERT_TERMS = 16
+# evaluate_j's terms of j: at Im(tau) >= MIN_IM_FOR_SERIES, |q| <= e^(-1.6 pi) < 0.0066 and the
+# omitted tail sum_{n>=31} c(n) |q|^n is below 3e-39, far under the rounding of the 1/q term
+_EVALUATE_TERMS = 32
 # terms of the inverse series q(1/j) that start invert_j's Newton iteration: on
 # 2e3 <= |t| <= 1e8, 8 to 16 terms take the same time (2.6 to 2.2 j evaluations per call)
 _START_TERMS = 8
@@ -57,16 +61,10 @@ _START_TERMS = 8
 OUT_OF_REGIME = "outside inversion regime"
 
 @lru_cache(maxsize=None)
-def _j_coefficients(count: int) -> tuple[float, ...]:
-    """The first ``count`` coefficients of j (starting at q^-1), as floats."""
-    return tuple(float(c) for c in j_series(count - 1).coeffs)
-
-
-@lru_cache(maxsize=None)
 def _j_unit_descending(count: int) -> tuple[float, ...]:
-    """The coefficients of q^(count-2), ..., q^0 in j: the unit part P of
-    j = 1/q + P(q) from j's first ``count`` coefficients, highest first."""
-    return _j_coefficients(count)[:0:-1]
+    """The coefficients of q^(count-2), ..., q^0 in j as floats: the unit part P
+    of j = 1/q + P(q) from j's first ``count`` coefficients, highest first."""
+    return tuple(float(c) for c in j_series(count - 1).coeffs[:0:-1])
 
 
 @lru_cache(maxsize=None)
@@ -94,7 +92,7 @@ def _check_inversion_tolerance(tol: float) -> None:
 
 def _upper_half_plane(tau) -> complex:
     """tau as a complex number with a finite real part and 0 < Im(tau) < inf."""
-    tau = complex(tau)
+    tau = _complex(tau, "tau")
     if not (math.isfinite(tau.real) and 0 < tau.imag < math.inf):
         raise DomainError(f"point must lie in the upper half-plane, got {tau}")
     return tau
@@ -119,23 +117,22 @@ def _j_at(q: complex, unit) -> tuple[complex, complex]:
     return (1 + 0j) / q + p, dp - (1 + 0j) / q2 if q2 else math.inf
 
 
-def evaluate_j(tau: complex, terms: int = 32) -> complex:
-    """Partial sum of j's q-expansion with ``terms`` coefficients, at tau.
+def evaluate_j(tau: complex) -> complex:
+    """Partial sum of j's q-expansion through q^30 (32 coefficients), at tau.
 
-    Requires Im(tau) >= 0.8 (reduce first if necessary); a tau so high
-    that q underflows or j overflows the double range raises DomainError.
+    Requires Im(tau) >= 0.8 (reduce first if necessary), where more terms
+    change no bit (see _EVALUATE_TERMS); a tau so high that q underflows
+    or j overflows the double range raises DomainError.
     """
     tau = _upper_half_plane(tau)
     if tau.imag < MIN_IM_FOR_SERIES:
         raise DomainError(
             f"evaluate_j requires Im(tau) >= {MIN_IM_FOR_SERIES}, got {tau.imag}; reduce first"
         )
-    if terms < 2:
-        raise DomainError("evaluate_j needs at least the q^-1 and q^0 terms")
     q = cmath.exp(2j * math.pi * tau)
     if q == 0:
         raise DomainError(f"q underflows to 0 at Im(tau) = {tau.imag}: j exceeds the double range")
-    value = _j_at(q, _j_unit_descending(terms))[0]
+    value = _j_at(q, _j_unit_descending(_EVALUATE_TERMS))[0]
     if not cmath.isfinite(value):
         raise DomainError(f"j exceeds the double range at Im(tau) = {tau.imag}")
     return value
@@ -156,7 +153,7 @@ def invert_j(t: complex, tol: float = 1e-10) -> HalfPlanePoint:
     4 eps raises DomainError: the rounding floor can lie above it.
     """
     _check_inversion_tolerance(tol)
-    t = complex(t)
+    t = _complex(t, "t")
     if abs(t) < MIN_J_MODULUS:
         raise DomainError(f"{OUT_OF_REGIME}: |t| = {abs(t):.6g} < {MIN_J_MODULUS:.0f}")
     if not abs(t) <= MAX_J_MODULUS:  # also refuses inf and nan
@@ -219,7 +216,7 @@ def _line(angle: float) -> float:
 def _prediction_line(z: complex) -> tuple[float, float]:
     """The line Re = -arg(z)/(2 pi) of z's predictions, normalized into
     [-1/2, 1/2) with arg(z) in [-pi, pi), and |z|."""
-    z = complex(z)
+    z = _complex(z, "z")
     if z == 0:
         raise DomainError("z must be nonzero")
     return _line(-_phase(z)), abs(z)
@@ -259,21 +256,26 @@ class ZeroReportRow:
 
     ``tau`` is None when |t| is too small for trustworthy inversion; then
     ``status`` is OUT_OF_REGIME and the seam-aware errors are None too.
-    ``t_gap`` is |t - 2k z_{D,r}|, the root's displacement from its
-    rescaled limit (an O(1) quantity as the weight grows).
+    ``abs_err`` is |tau - tau_hat| modulo the unit translation, derived
+    from the two points.  ``t_gap`` is |t - 2k z_{D,r}|, the root's
+    displacement from its rescaled limit (an O(1) quantity as the weight
+    grows).
     """
 
     r: int
     t: complex
     tau: HalfPlanePoint | None
     tau_hat: HalfPlanePoint
-    abs_err: float | None
     k_times_err: float | None
     t_gap: float
 
     @property
     def status(self) -> str:
         return "ok" if self.tau is not None else OUT_OF_REGIME
+
+    @property
+    def abs_err(self) -> float | None:
+        return None if self.tau is None else _seam_distance(self.tau.tau, self.tau_hat.tau)
 
 
 @frozen_dataclass()
@@ -304,12 +306,16 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     kept as ``report.faber``; the solve of g_k starts at those limits, its
     roots are matched against them and pulled back through j; each actual
     tau satisfies |F(j(tau))| <= tol * max |F coeff|.  Row errors are
-    |tau_r - tau_hat_r| (seam-aware) with k * err alongside, plus the t-scale
-    displacement |t_r - 2k z_{D,r}|.  With strict=True any root outside the
-    inversion regime (|t| < 2000) raises DomainError; with strict=False such
-    rows carry no actual tau, hence status OUT_OF_REGIME (nothing is dropped).
+    |tau_r - tau_hat_r| (seam-aware, derived by the row) with k * err
+    stored alongside, plus the t-scale displacement |t_r - 2k z_{D,r}|.
+    With strict=True any root outside the inversion regime (|t| < 2000)
+    raises DomainError; with strict=False such rows carry no actual tau,
+    hence status OUT_OF_REGIME (nothing is dropped).
     Rows are indexed by the inverse zeros' sorted order.  A tol below
-    MIN_INVERT_TOL raises DomainError before any solve, as in invert_j.
+    MIN_INVERT_TOL raises DomainError before any solve, as in invert_j.  A
+    larger tol can still be out of reach of the |F(j(tau))| check, which
+    then raises NumericalError after the whole solve (k = 240000, D = 2 at
+    tol = 1e-15; ROADMAP item 3 makes tolerances checkable up front).
     """
     _check_inversion_tolerance(tol)
     d = spec.degree
@@ -321,8 +327,7 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
     k = f.k
 
     scaled = scaled_faber_roots(f, tol=tol, start=limits.roots)
-    pairing = match_roots(scaled.roots, limits.roots)
-    root_for_limit = {j: scaled.roots[i] for i, j in pairing.pairs}
+    root_for_limit = {j: scaled.roots[i] for i, j in match_roots(scaled.roots, limits.roots)}
 
     try:
         f_float = [float(c) for c in f.coeffs]
@@ -335,15 +340,15 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
         z_limit = limits.roots[r]
         t = 2 * k * root_for_limit[r]
         tau_hat = predicted_zero(k, z_limit)
-        tau = err = None
+        tau = k_err = None
         if abs(t) >= MIN_J_MODULUS:
             tau = invert_j(t, tol=tol)
-            value = horner(f_float, evaluate_j(tau.tau, terms=32))[0]
+            value = horner(f_float, evaluate_j(tau.tau))[0]
             if abs(value) > tol * f_scale:
                 raise NumericalError(
                     f"|F(j(tau))| = {abs(value):.3e} exceeds {tol:.1e} * scale at root {t:.6g}"
                 )
-            err = _seam_distance(tau.tau, tau_hat.tau)
+            k_err = k * _seam_distance(tau.tau, tau_hat.tau)
         elif strict:
             raise DomainError(
                 f"{OUT_OF_REGIME}: root t_{r + 1} = {t:.6g} has |t| < {MIN_J_MODULUS:.0f} "
@@ -351,8 +356,7 @@ def zero_report(spec: ModularFormSpec, tol: float = 1e-10, strict: bool = True) 
             )
         rows.append(
             ZeroReportRow(
-                r=r + 1, t=t, tau=tau, tau_hat=tau_hat, abs_err=err,
-                k_times_err=None if err is None else k * err,
+                r=r + 1, t=t, tau=tau, tau_hat=tau_hat, k_times_err=k_err,
                 t_gap=abs(t - 2 * k * z_limit),
             )
         )

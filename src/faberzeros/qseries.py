@@ -233,27 +233,19 @@ class TruncatedSeries:
         v, terms = self.valuation * n, self.order - self.valuation
         return TruncatedSeries(v, _power(self.coeffs, n, terms), v + terms)
 
-    def inverse(self, order: int | None = None) -> "TruncatedSeries":
-        """Multiplicative inverse, valid modulo q^order: Miller's recurrence at alpha = -1.
+    def inverse(self) -> "TruncatedSeries":
+        """Multiplicative inverse by Miller's recurrence at alpha = -1.
 
-        The inverse of a series with valuation v known modulo q^N can be
-        certified modulo q^(N - 2v) at best; asking for more raises.
-        ``self * self.inverse(order)`` equals 1 modulo q^(order + v).
+        The inverse of a series with valuation v known modulo q^N is
+        certified modulo q^(N - 2v), and that is the order it carries;
+        ``self * self.inverse()`` equals 1 modulo q^(N - v).  A shorter
+        inverse is ``self.inverse().truncate(n)``.
         """
         if self.is_zero():
             raise DomainError("non-invertible: zero series")
         v = self.valuation
-        max_order = self.order - 2 * v
-        if order is None:
-            order = max_order
-        if order > max_order:
-            raise DomainError(
-                f"inverse requested modulo q^{order} but only q^{max_order} is provable"
-            )
-        n_unit = order + v  # unit-part terms of the result
-        if n_unit <= 0:
-            return TruncatedSeries.zero(order)
-        return TruncatedSeries(-v, _power(self.coeffs, -1, n_unit), order)
+        # N - v >= 1 unit-part terms, since the nonzero leading term lies below q^N
+        return TruncatedSeries(-v, _power(self.coeffs, -1, self.order - v), self.order - 2 * v)
 
     # -- display -------------------------------------------------------------
 

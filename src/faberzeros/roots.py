@@ -26,7 +26,6 @@ from .faber import FaberPoly, horner
 __all__ = [
     "ComplexPoly",
     "RootSet",
-    "Pairing",
     "find_roots",
     "truncated_exp_poly",
     "truncated_exp_inverse_zeros",
@@ -48,6 +47,14 @@ def _check_tolerance(tol: float) -> None:
             f"tolerance {tol} is below the double-precision epsilon "
             f"{sys.float_info.epsilon}: no residual check can certify it"
         )
+
+
+def _complex(z, what: str) -> complex:
+    """complex(z); a value it refuses or overflows on raises DomainError naming ``what``."""
+    try:
+        return complex(z)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be complex: {exc}") from None
 
 
 def _phase(z: complex) -> float:
@@ -110,9 +117,9 @@ class RootSet:
 def _starts(start, n: int) -> list[complex]:
     """Caller-given Aberth starts as n distinct finite complex numbers, or DomainError."""
     try:
-        z = [complex(s) for s in start]
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"start points must be complex numbers: {exc}") from None
+        z = [_complex(s, "start points") for s in start]
+    except TypeError as exc:  # start is not iterable
+        raise DomainError(f"start points must be a sequence: {exc}") from None
     if len(z) != n:
         raise DomainError(f"need {n} start points for degree {n}, got {len(z)}")
     if not all(math.isfinite(s.real) and math.isfinite(s.imag) for s in z):
@@ -222,14 +229,13 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     value, whether tol is passed by position, by keyword or left at its
     default, and the one immutable RootSet is shared by every caller; a
     call that raises is not cached and raises again when repeated.
-    ``cache_info`` and ``cache_clear`` are the memo's, and ``__wrapped__``
-    is the unmemoized solve.
     """
-    return _exp_inverse_zeros_memo(d, tol)
+    return _exp_inverse_zeros(d, tol)
 
 
-def _exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
-    """The solve behind truncated_exp_inverse_zeros."""
+@lru_cache(maxsize=None)
+def _exp_inverse_zeros(d: int, tol: float) -> RootSet:
+    """The memoized solve behind truncated_exp_inverse_zeros."""
     t_roots = find_roots(truncated_exp_poly(d), tol=tol)
     inv = sorted((1.0 / t for t in t_roots.roots), key=_sort_key)
     g = [1.0 / math.factorial(r) for r in range(d + 1)]
@@ -239,23 +245,10 @@ def _exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     return RootSet(roots=tuple(inv), residual=residual)
 
 
-_exp_inverse_zeros_memo = lru_cache(maxsize=None)(_exp_inverse_zeros)
-truncated_exp_inverse_zeros.cache_info = _exp_inverse_zeros_memo.cache_info
-truncated_exp_inverse_zeros.cache_clear = _exp_inverse_zeros_memo.cache_clear
-truncated_exp_inverse_zeros.__wrapped__ = _exp_inverse_zeros
-
-
-@dataclass(frozen=True)
-class Pairing:
-    """A bijection between two root lists: pairs of (index in a, index in b)."""
-
-    pairs: tuple[tuple[int, int], ...]
-    max_distance: float
-
-
-def match_roots(a, b) -> Pairing:
+def match_roots(a, b) -> tuple[tuple[int, int], ...]:
     """The bijection between two root sequences minimizing the maximum
-    pairwise distance (bottleneck assignment).
+    pairwise distance (bottleneck assignment), as the sorted pairs
+    (index in a, index in b).
 
     Solved exactly over the candidate distances, with a bipartite
     perfect-matching feasibility test at each threshold.  No threshold
@@ -267,16 +260,19 @@ def match_roots(a, b) -> Pairing:
     returned is the matching that the augmenting-path search finds at that
     threshold, taking the roots of ``a`` in order and trying those of ``b``
     in index order.  So which of two equidistant partners a root gets
-    depends on the order of ``a``.  A NaN or infinite root in either
-    sequence raises DomainError: no threshold matches a NaN distance.
+    depends on the order of ``a``.  A root that is not a complex number,
+    or is NaN or infinite, raises DomainError: no threshold matches a NaN
+    distance.
     """
+    a = [_complex(x, "roots to match") for x in a]
+    b = [_complex(y, "roots to match") for y in b]
     n = len(a)
     if len(b) != n:
         raise DomainError(f"cardinality mismatch: {n} vs {len(b)}")
     if not all(map(cmath.isfinite, (*a, *b))):
         raise DomainError("roots to match must be finite (no NaN or inf)")
     if n == 0:
-        return Pairing(pairs=(), max_distance=0.0)
+        return ()
     dist = [[abs(x - y) for y in b] for x in a]
     floor = max(max(map(min, dist)), max(map(min, zip(*dist))))
 
@@ -297,7 +293,7 @@ def match_roots(a, b) -> Pairing:
                 return None
         return match_of_y
 
-    threshold, match_of_y = floor, matching_at(floor)
+    match_of_y = matching_at(floor)
     if match_of_y is None:  # search the distances above the floor; the largest always matches
         levels = sorted({d for row in dist for d in row if d > floor})
         lo, hi = 0, len(levels) - 1
@@ -305,12 +301,11 @@ def match_roots(a, b) -> Pairing:
             mid = (lo + hi) // 2
             m = matching_at(levels[mid])
             if m is not None:
-                threshold, match_of_y = levels[mid], m
+                match_of_y = m
                 hi = mid - 1
             else:
                 lo = mid + 1
-    pairs = sorted((i, j) for j, i in enumerate(match_of_y))
-    return Pairing(pairs=tuple(pairs), max_distance=threshold)
+    return tuple(sorted((i, j) for j, i in enumerate(match_of_y)))
 
 
 def scaled_faber_roots(f: FaberPoly, *, tol: float = 1e-10, start=None) -> RootSet:

@@ -42,7 +42,7 @@ from faberzeros.qseries import (
     j_series,
 )
 from faberzeros.roots import (
-    _ABERTH_OFFSET, _CONVERGED, _MAX_ITER, ComplexPoly, Pairing, RootSet, _check_tolerance,
+    _ABERTH_OFFSET, _CONVERGED, _MAX_ITER, ComplexPoly, RootSet, _check_tolerance,
     _sort_key, _starts,
 )
 
@@ -94,7 +94,7 @@ def series_principal_part(spec) -> tuple:
     order = spec.degree + 1
     window, scale = _clear_denominators(spec.unit_coeffs)
     y = TruncatedSeries(0, window, order)
-    e_inverse = eisenstein_series(spec.k_prime, order).inverse(order)
+    e_inverse = eisenstein_series(spec.k_prime, order).inverse()
     a = y * euler_phi(order) ** (-24 * spec.ell) * e_inverse
     return tuple(_divide([a.coeff(i) for i in range(order)], scale))
 
@@ -163,7 +163,12 @@ def column_solve_faber_polynomial(spec) -> FaberPoly:
     return FaberPoly(k=spec.k, m=spec.m, coeffs=tuple(x))
 
 
-def binary_search_match_roots(a, b) -> Pairing:
+def bottleneck(a, b, pairs) -> float:
+    """The largest distance |a[i] - b[j]| over a pairing's (i, j); 0 for no pairs."""
+    return max((abs(a[i] - b[j]) for i, j in pairs), default=0.0)
+
+
+def binary_search_match_roots(a, b) -> tuple[tuple[int, int], ...]:
     """The bottleneck assignment of ``roots.match_roots`` by a plain binary
     search over all candidate distances, with the same augmenting-path
     feasibility test at each threshold (so the same tie rule)."""
@@ -198,8 +203,7 @@ def binary_search_match_roots(a, b) -> Pairing:
             hi = mid - 1
         else:
             lo = mid + 1
-    threshold, match_of_y = best
-    return Pairing(pairs=tuple(sorted((i, j) for j, i in enumerate(match_of_y))), max_distance=threshold)
+    return tuple(sorted((i, j) for j, i in enumerate(best[1])))
 
 
 def mixed_operand_find_roots(p: ComplexPoly, tol: float = 1e-10, *, start=None) -> RootSet:

@@ -207,12 +207,12 @@ def test_huge_degree_is_refused_at_once(capsys):
     ids=lambda v: v[0],
 )
 def test_stdout_same_with_cold_and_warm_limit_cache(capsys, argv):
-    from faberzeros.roots import truncated_exp_inverse_zeros
+    from faberzeros.roots import _exp_inverse_zeros
 
-    truncated_exp_inverse_zeros.cache_clear()
+    _exp_inverse_zeros.cache_clear()
     cold = run(capsys, *argv)
     warm = run(capsys, *argv)
-    assert truncated_exp_inverse_zeros.cache_info().hits >= 1
+    assert _exp_inverse_zeros.cache_info().hits >= 1
     assert cold[0] == EXIT_OK and cold == warm
 
 

@@ -17,10 +17,14 @@ import faberzeros
 from faberzeros.cli import EXIT_INVALID, EXIT_OK, main
 from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial, horner, principal_part
-from faberzeros.halfplane import MIN_INVERT_TOL, invert_j, zero_report
+from faberzeros.halfplane import (
+    MIN_INVERT_TOL, evaluate_j, invert_j, predicted_zero, reduce_to_fundamental_domain, zero_report,
+)
 from faberzeros.modforms import decompose_weight, miller_basis_series, miller_form_spec
 from faberzeros.qseries import TruncatedSeries, j_series
-from faberzeros.roots import find_roots, scaled_faber_roots, truncated_exp_inverse_zeros, truncated_exp_poly
+from faberzeros.roots import (
+    ComplexPoly, find_roots, match_roots, scaled_faber_roots, truncated_exp_inverse_zeros, truncated_exp_poly,
+)
 
 
 def run(capsys, *argv):
@@ -158,13 +162,36 @@ def test_series_truncate_cannot_extend():
         s.truncate(5)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: invert_j(10**400),
+        lambda: evaluate_j(10**400),
+        lambda: reduce_to_fundamental_domain(10**400),
+        lambda: predicted_zero(2400, 10**400),
+        lambda: find_roots(ComplexPoly.from_coefficients([1, 1]), start=[10**400]),
+        lambda: match_roots([10**400], [0j]),
+        lambda: match_roots(["a"], [0j]),
+        lambda: invert_j("a"),
+        lambda: predicted_zero(2400, object()),
+    ],
+    ids=[
+        "invert_j-overflow", "evaluate_j-overflow", "reduce-overflow", "predicted_zero-overflow",
+        "find_roots-start-overflow", "match_roots-overflow", "match_roots-string",
+        "invert_j-string", "predicted_zero-object",
+    ],
+)
+def test_values_complex_cannot_take_are_domain_errors(call):
+    # complex() raises OverflowError, ValueError or TypeError on these; each call refuses them alike
+    with pytest.raises(DomainError, match="must be complex: "):
+        call()
+
+
 def test_invert_j_tolerance_is_respected():
     t = 1e7 + 3e6j
     for tol in (1e-6, 1e-12):
         tau = invert_j(t, tol=tol).tau
-        from faberzeros.halfplane import evaluate_j
-
-        assert abs(evaluate_j(tau, terms=40) - t) <= tol * abs(t)
+        assert abs(evaluate_j(tau) - t) <= tol * abs(t)
 
 
 def test_faber_evaluate_both_scalar_types():

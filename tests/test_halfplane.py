@@ -14,12 +14,14 @@ from faberzeros.errors import DomainError
 from faberzeros.faber import faber_polynomial, j_power_table
 from faberzeros.halfplane import (
     MAX_J_MODULUS,
+    MIN_IM_FOR_SERIES,
     MIN_J_MODULUS,
     OUT_OF_REGIME,
     HalfPlanePoint,
     ZeroReport,
     ZeroReportRow,
-    _j_coefficients,
+    _j_at,
+    _j_unit_descending,
     evaluate_j,
     invert_j,
     predicted_zero,
@@ -28,7 +30,7 @@ from faberzeros.halfplane import (
 )
 from faberzeros.modforms import decompose_weight, miller_form_spec
 from faberzeros.qseries import TruncatedSeries, _power, j_series
-from faberzeros.roots import scaled_faber_roots, truncated_exp_inverse_zeros
+from faberzeros.roots import _exp_inverse_zeros, scaled_faber_roots, truncated_exp_inverse_zeros
 from oracles import in_fundamental_domain, series_difference, series_scaled, series_sum
 
 
@@ -49,7 +51,7 @@ def test_evaluate_j_matches_oracle_on_samples():
     rng = random.Random(3)
     for _ in range(20):
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.5))
-        got = evaluate_j(tau, terms=40)
+        got = evaluate_j(tau)
         want = j_oracle(tau)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -95,7 +97,7 @@ def test_evaluate_j_consistency_with_predicted_zero():
 
 def test_invert_j_round_trip_specific():
     tau0 = complex(0.1, 1.5)
-    t = evaluate_j(tau0, terms=40)
+    t = evaluate_j(tau0)
     if abs(t) >= 2000:
         back = invert_j(t)
         assert abs(back.tau - tau0) < 1e-10
@@ -123,7 +125,7 @@ def test_invert_j_round_trip_samples():
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 3.0))
         if not in_fundamental_domain(tau):
             continue
-        t = evaluate_j(tau, terms=48)
+        t = evaluate_j(tau)
         if abs(t) < 2000:
             continue
         back = invert_j(t)
@@ -522,11 +524,25 @@ def test_zero_report_refuses_the_limits_before_solving_f(monkeypatch):
 def test_zero_report_row_status_follows_tau():
     point = HalfPlanePoint(tau=0.1 + 1.2j)
     shared = dict(r=1, t=-23256 + 0j, tau_hat=point, t_gap=0.0)
-    assert ZeroReportRow(tau=point, abs_err=0.0, k_times_err=0.0, **shared).status == "ok"
-    assert ZeroReportRow(tau=None, abs_err=None, k_times_err=None, **shared).status == OUT_OF_REGIME
+    assert ZeroReportRow(tau=point, k_times_err=0.0, **shared).status == "ok"
+    assert ZeroReportRow(tau=None, k_times_err=None, **shared).status == OUT_OF_REGIME
     assert "status" not in [f.name for f in dataclasses.fields(ZeroReportRow)]
     with pytest.raises(TypeError):
-        ZeroReportRow(tau=None, abs_err=None, k_times_err=None, status=OUT_OF_REGIME, **shared)
+        ZeroReportRow(tau=None, k_times_err=None, status=OUT_OF_REGIME, **shared)
+
+
+def test_zero_report_row_abs_err_follows_tau_and_tau_hat():
+    # derived like status: the seam-aware |tau - tau_hat|, None without a tau
+    shared = dict(r=1, t=-23256 + 0j, k_times_err=None, t_gap=0.0)
+    near_seam = ZeroReportRow(
+        tau=HalfPlanePoint(tau=-0.49 + 1.2j), tau_hat=HalfPlanePoint(tau=0.48 + 1.2j), **shared
+    )
+    assert abs(near_seam.abs_err - 0.03) < 1e-12
+    point = HalfPlanePoint(tau=0.1 + 1.2j)
+    assert ZeroReportRow(tau=None, tau_hat=point, **shared).abs_err is None
+    assert "abs_err" not in [f.name for f in dataclasses.fields(ZeroReportRow)]
+    with pytest.raises(TypeError):
+        ZeroReportRow(tau=point, tau_hat=point, abs_err=0.0, **shared)
 
 
 def test_half_plane_point_stores_the_complex_it_validated():
@@ -627,32 +643,42 @@ def test_j_real_on_imaginary_axis():
 
 
 @pytest.mark.parametrize("counts", [(160, 32, 16), (16, 32, 160)])
-def test_j_coefficients_prefixes_in_any_call_order(counts):
-    _j_coefficients.cache_clear()
-    got = {n: _j_coefficients(n) for n in counts}
+def test_j_unit_descending_suffixes_in_any_call_order(counts):
+    _j_unit_descending.cache_clear()
+    got = {n: _j_unit_descending(n) for n in counts}
     for n, coeffs in got.items():
-        assert len(coeffs) == n and all(type(c) is float for c in coeffs)
+        assert len(coeffs) == n - 1 and all(type(c) is float for c in coeffs)
     shortest, middle, longest = (got[n] for n in sorted(counts))
-    assert longest[: len(middle)] == middle and middle[: len(shortest)] == shortest
-    assert longest[:3] == (1.0, 744.0, 196884.0)
+    assert longest[-len(middle):] == middle and middle[-len(shortest):] == shortest
+    assert longest[-2:] == (196884.0, 744.0)
+
+
+def test_evaluate_j_with_32_terms_equals_160_terms_bitwise():
+    # the tail left out above q^30 is below 3e-39 at Im(tau) >= MIN_IM_FOR_SERIES,
+    # so a longer truncation cannot move a bit of evaluate_j
+    rng = random.Random(41)
+    unit = _j_unit_descending(160)
+    for _ in range(2400):
+        tau = complex(rng.uniform(-0.5, 0.5), MIN_IM_FOR_SERIES * 10 ** rng.uniform(0, 0.6))
+        got, want = evaluate_j(tau), _j_at(cmath.exp(2j * math.pi * tau), unit)[0]
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), tau
 
 
 def test_j_evaluation_and_inversion_safe_in_parallel():
-    # mixed term counts fill the cache in an arbitrary order across threads;
-    # every caller must still see exactly the serial results
+    # evaluation (32 terms) and inversion (16 terms) fill the cache in an
+    # arbitrary order across threads; every caller must still see exactly the serial results
     from concurrent.futures import ThreadPoolExecutor
 
     rng = random.Random(7)
     ts = [cmath.rect(10 ** rng.uniform(3.4, 9), rng.uniform(-math.pi, math.pi)) for _ in range(24)]
     taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 2.0)) for _ in range(24)]
-    terms = [16, 160, 24, 96, 32, 48, 120, 40] * 3
 
     def task(i):
-        return invert_j(ts[i]).tau, evaluate_j(taus[i], terms=terms[i])
+        return invert_j(ts[i]).tau, evaluate_j(taus[i])
 
-    _j_coefficients.cache_clear()
+    _j_unit_descending.cache_clear()
     serial = [task(i) for i in range(24)]
-    _j_coefficients.cache_clear()
+    _j_unit_descending.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -676,9 +702,9 @@ def test_zero_report_safe_in_parallel_with_shared_limit_cache():
     def task(spec):
         return zero_report(spec, strict=False)
 
-    truncated_exp_inverse_zeros.cache_clear()
+    _exp_inverse_zeros.cache_clear()
     serial = [task(spec) for spec in specs]
-    truncated_exp_inverse_zeros.cache_clear()
+    _exp_inverse_zeros.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -692,7 +718,7 @@ def test_zero_report_safe_in_parallel_with_shared_limit_cache():
 def test_report_dataclasses_are_slotted_and_frozen():
     point = HalfPlanePoint(tau=0.1 + 1.2j)
     row = ZeroReportRow(
-        r=1, t=-23256 + 0j, tau=point, tau_hat=point, abs_err=0.0, k_times_err=0.0, t_gap=0.0
+        r=1, t=-23256 + 0j, tau=point, tau_hat=point, k_times_err=0.0, t_gap=0.0
     )
     report = ZeroReport(faber=faber_polynomial(miller_form_spec(24, 1)), rows=(row,))
     for obj in (point, row, report):

@@ -10,7 +10,7 @@ every entry.
 
 The float layer gets its own rows: the ``float.hex`` of ``invert_j`` on a
 seeded grid of t with 2000 <= |t| <= 1e150 at three tolerances, of
-``evaluate_j`` at seeded tau with four truncation lengths, and of the
+``evaluate_j`` at seeded tau, and of the
 roots and residual of ``truncated_exp_inverse_zeros(D)`` for D = 1..21
 (one sha256 each).  A change to the Horner kernel or to the j evaluator
 that moves any bit fails here.
@@ -75,13 +75,8 @@ GOLDEN_INVERT_J = {
     0.001: "622fa4576a57a35a5a5c51c662b4405dba923a98243a39634ef68f6eb949a135",
 }
 
-# digest of evaluate_j(tau, terms) over _evaluation_grid(), per term count
-GOLDEN_EVALUATE_J = {
-    2: "b57ed41c21e6bae74a247d2a6759d02c525fa0fad7bdd8f7f0a55fdbc50ead24",
-    12: "82649be7a51701e61a2bdabf09c150d54c2fe2a7a1d375893900cc279448e8a1",
-    32: "51881e298684d34ad184c6074cfc347b9329378f7dad4d14354eff2b38c1f1c2",
-    60: "51881e298684d34ad184c6074cfc347b9329378f7dad4d14354eff2b38c1f1c2",
-}
+# digest of evaluate_j(tau) over _evaluation_grid()
+GOLDEN_EVALUATE_J = "51881e298684d34ad184c6074cfc347b9329378f7dad4d14354eff2b38c1f1c2"
 
 # digest of truncated_exp_inverse_zeros(D): its roots, then its residual
 GOLDEN_INVERSE_ZEROS = {
@@ -164,8 +159,8 @@ def _inversion_text(tol: float) -> list[str]:
     return lines
 
 
-def _evaluation_text(terms: int) -> list[str]:
-    values = (evaluate_j(tau, terms) for tau in _evaluation_grid())
+def _evaluation_text() -> list[str]:
+    values = (evaluate_j(tau) for tau in _evaluation_grid())
     return [f"{_hex(v.real)} {_hex(v.imag)}" for v in values]
 
 
@@ -174,11 +169,11 @@ def _inverse_zeros_text(d: int) -> list[str]:
     return [f"{_hex(z.real)} {_hex(z.imag)}" for z in found.roots] + [_hex(found.residual)]
 
 
-def record_float_layer() -> tuple[dict, dict, dict]:
+def record_float_layer() -> tuple[dict, str, dict]:
     """The float-layer digests, computed by the current checkout."""
     return (
         {tol: _digest(_inversion_text(tol)) for tol in (1e-10, MIN_INVERT_TOL, 1e-3)},
-        {terms: _digest(_evaluation_text(terms)) for terms in (2, 12, 32, 60)},
+        _digest(_evaluation_text()),
         {d: _digest(_inverse_zeros_text(d)) for d in range(1, 22)},
     )
 
@@ -210,11 +205,8 @@ def test_invert_j_reaches_its_tolerance_floor():
         invert_j(t, tol=MIN_INVERT_TOL)
 
 
-@pytest.mark.parametrize(
-    ("terms", "digest"), GOLDEN_EVALUATE_J.items(), ids=[f"terms={n}" for n in GOLDEN_EVALUATE_J]
-)
-def test_evaluate_j_is_bit_identical(terms, digest):
-    assert _digest(_evaluation_text(terms)) == digest
+def test_evaluate_j_is_bit_identical():
+    assert _digest(_evaluation_text()) == GOLDEN_EVALUATE_J
 
 
 @pytest.mark.parametrize(

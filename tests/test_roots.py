@@ -23,7 +23,7 @@ from faberzeros.roots import (
     truncated_exp_poly,
 )
 from oracles import (
-    binary_search_match_roots, companion_roots, mixed_operand_find_roots, ostrowski_bound,
+    binary_search_match_roots, bottleneck, companion_roots, mixed_operand_find_roots, ostrowski_bound,
     scaled_roots_oracle,
 )
 
@@ -120,8 +120,7 @@ def test_find_roots_matches_companion_oracle():
         coeffs = [1.0] + [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(deg)]
         mine = find_roots(ComplexPoly(coeffs=tuple(coeffs))).roots
         oracle = companion_roots(coeffs)
-        pairing = match_roots(mine, oracle)
-        assert pairing.max_distance < 1e-7
+        assert bottleneck(mine, oracle, match_roots(mine, oracle)) < 1e-7
 
 
 def test_find_roots_iteration_cap(monkeypatch):
@@ -235,16 +234,16 @@ def test_exp_inverse_zeros_cached_equals_fresh_solve_bitwise():
     def bits(rs):
         return [(z.real.hex(), z.imag.hex()) for z in rs.roots], rs.residual.hex()
 
-    truncated_exp_inverse_zeros.cache_clear()
+    roots._exp_inverse_zeros.cache_clear()
     for d in range(1, 22):
         cached = truncated_exp_inverse_zeros(d)
         assert truncated_exp_inverse_zeros(d) is cached
-        assert bits(cached) == bits(truncated_exp_inverse_zeros.__wrapped__(d)), d
+        assert bits(cached) == bits(roots._exp_inverse_zeros.__wrapped__(d, 1e-10)), d
 
 
 def test_exp_inverse_zeros_failures_are_not_cached():
     truncated_exp_inverse_zeros(3)
-    size = truncated_exp_inverse_zeros.cache_info().currsize
+    size = roots._exp_inverse_zeros.cache_info().currsize
     for _ in range(2):
         with pytest.raises(NumericalError):
             truncated_exp_inverse_zeros(22)
@@ -253,26 +252,26 @@ def test_exp_inverse_zeros_failures_are_not_cached():
                 truncated_exp_inverse_zeros(3, tol=tol)
         with pytest.raises(DomainError):
             truncated_exp_inverse_zeros(0)
-    assert truncated_exp_inverse_zeros.cache_info().currsize == size
+    assert roots._exp_inverse_zeros.cache_info().currsize == size
 
 
 def test_exp_inverse_zeros_cached_per_tolerance():
-    truncated_exp_inverse_zeros.cache_clear()
+    roots._exp_inverse_zeros.cache_clear()
     loose = truncated_exp_inverse_zeros(9, tol=1e-6)
     tight = truncated_exp_inverse_zeros(9, tol=1e-12)
     assert loose is not tight
-    assert truncated_exp_inverse_zeros.cache_info().currsize == 2
+    assert roots._exp_inverse_zeros.cache_info().currsize == 2
     assert truncated_exp_inverse_zeros(9, tol=1e-6) is loose
     assert truncated_exp_inverse_zeros(9, tol=1e-12) is tight
 
 
 def test_exp_inverse_zeros_one_entry_per_tolerance_value():
-    truncated_exp_inverse_zeros.cache_clear()
+    roots._exp_inverse_zeros.cache_clear()
     default = truncated_exp_inverse_zeros(7)
     assert truncated_exp_inverse_zeros(7, 1e-10) is default
     assert truncated_exp_inverse_zeros(7, tol=1e-10) is default
     assert truncated_exp_inverse_zeros(d=7, tol=1e-10) is default
-    info = truncated_exp_inverse_zeros.cache_info()
+    info = roots._exp_inverse_zeros.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
@@ -308,24 +307,23 @@ def test_ostrowski_dominates_on_random_cubics():
         ]
         p = ComplexPoly(coeffs=tuple(base))
         q = ComplexPoly(coeffs=tuple(pert))
-        dist = match_roots(find_roots(p).roots, find_roots(q).roots).max_distance
-        assert dist <= ostrowski_bound(p, q) + 1e-12
+        a, b = find_roots(p).roots, find_roots(q).roots
+        assert bottleneck(a, b, match_roots(a, b)) <= ostrowski_bound(p, q) + 1e-12
 
 
 # --- match_roots -----------------------------------------------------------------------
 
 
 def test_match_roots_obvious_pairing():
-    pairing = match_roots([1 + 0j, 2 + 0j], [2.01 + 0j, 1.02 + 0j])
-    assert pairing.pairs == ((0, 1), (1, 0))
-    assert abs(pairing.max_distance - 0.02) < 1e-15
+    a, b = [1 + 0j, 2 + 0j], [2.01 + 0j, 1.02 + 0j]
+    pairs = match_roots(a, b)
+    assert pairs == ((0, 1), (1, 0))
+    assert abs(bottleneck(a, b, pairs) - 0.02) < 1e-15
 
 
 def test_match_roots_identity():
     pts = [1 + 1j, -2 + 0.5j, 3 - 1j]
-    pairing = match_roots(pts, pts)
-    assert pairing.pairs == ((0, 0), (1, 1), (2, 2))
-    assert pairing.max_distance == 0.0
+    assert match_roots(pts, pts) == ((0, 0), (1, 1), (2, 2))
 
 
 def _tied_root_sets(rng, n):
@@ -348,20 +346,17 @@ def test_match_roots_against_exhaustive_oracle():
         xs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
         ys = [x + complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for x in xs]
         rng.shuffle(ys)
-        pairing = match_roots(xs, ys)
+        pairs = match_roots(xs, ys)
         _, best_val = brute_force_pairing(xs, ys)
-        assert abs(pairing.max_distance - best_val) < 1e-12
-        realized = max(abs(xs[i] - ys[j]) for i, j in pairing.pairs)
-        assert abs(realized - best_val) < 1e-12
+        assert abs(bottleneck(xs, ys, pairs) - best_val) < 1e-12
     # n up to 6, half of the sets with exact ties: the optimum is one of the
     # distances, so it must come back exactly
     for trial in range(300):
         make = _tied_root_sets if trial % 2 else _perturbed_root_sets
         xs, ys = make(rng, rng.randint(1, 6))
-        pairing = match_roots(xs, ys)
+        pairs = match_roots(xs, ys)
         _, best_val = brute_force_pairing(xs, ys)
-        assert pairing.max_distance == best_val
-        assert max(abs(xs[i] - ys[j]) for i, j in pairing.pairs) == best_val
+        assert bottleneck(xs, ys, pairs) == best_val
 
 
 def test_match_roots_equals_the_plain_binary_search():
@@ -376,14 +371,13 @@ def test_match_roots_equals_the_plain_binary_search():
         assert got == binary_search_match_roots(xs, ys), (xs, ys)
         dist = [[abs(x - y) for y in ys] for x in xs]
         floor = max(max(map(min, dist)), max(map(min, zip(*dist))))
-        assert got.max_distance >= floor
-        paths.add(got.max_distance == floor)
+        assert bottleneck(xs, ys, got) >= floor
+        paths.add(bottleneck(xs, ys, got) == floor)
     assert paths == {True, False}
 
 
 def test_match_roots_empty():
-    pairing = match_roots([], [])
-    assert pairing.pairs == () and pairing.max_distance == 0.0
+    assert match_roots([], []) == ()
 
 
 def test_match_roots_cardinality_mismatch():
