@@ -93,7 +93,8 @@ def j_power_table(d: int) -> tuple[tuple[int, ...], ...]:
 
     With the unit u = q*j, j^r = q^{-r} u^r, so c[r][s] = [q^{r-s}] u^r:
     row r is the first r+1 coefficients of u^r, reversed, and each row is
-    one Miller power of u to r+1 terms, on ints since u_0 = 1.  Every
+    one Miller power of u to r+1 terms.  u is integral with u_0 = 1, so
+    that power runs on ints throughout and builds no Fraction.  Every
     entry is a non-negative integer, with c[r][r] = 1 and c[r][r-1] = 744*r.
 
     The last table built is kept and shared (it is an immutable tuple of

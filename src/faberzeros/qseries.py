@@ -14,10 +14,14 @@ entirely on Python ints, with their inner products summed in C:
   vol. 2, 4.7), m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i},
   which costs O(n^2) whatever alpha is; alpha = -1 is the inverse.  It
   visits only the nonzero u_i, so a power of phi, whose nonzero terms
-  below q^n number O(sqrt(n)), costs O(n^1.5), and it stays on ints
-  whenever each quotient is exact.  A base with no zero coefficient
-  (q*j, E_k' for k' != 0) takes the dense path: each step reads the
-  v_{m-i} it needs as one reversed slice of v.
+  below q^n number O(sqrt(n)), costs O(n^1.5).  It always runs on ints:
+  u = u_0 w is rescaled by q = L x, L the lcm of the denominators of w,
+  to an integral base with constant term 1, so each step is one exact
+  floor division, and u_0^alpha and L^m are applied once at the end.  An
+  integral u with int u_0 = +-1 (q*j, phi, U, E_k' for k' != 12) builds
+  no Fraction at all.  A base with no zero coefficient (q*j, E_k' for
+  k' != 0) takes the dense path: each step reads the v_{m-i} it needs
+  from one reversed copy of v.
 
 Rational inputs need not bring Fractions into either kernel:
 ``_clear_denominators`` scales a sequence to ints by the lcm of its
@@ -98,38 +102,56 @@ def _convolve(a, b, n: int) -> list:
 def _power(u, alpha: int, n: int) -> list:
     """Coefficients 0..n-1 of u^alpha for a coefficient sequence with u[0] != 0.
 
-    Miller's recurrence m u_0 v_m = sum_{i=1..m} ((alpha+1) i - m) u_i v_{m-i}
-    from v_0 = u_0^alpha, summed over the nonzero u_i only.  When no u_i
-    below n is zero, the v_{m-i} needed are the reversed slice
-    v[m-1], ..., v[m-count] and are sliced rather than gathered.  Every
-    quotient is exact; an int quotient with remainder 0 stays an int, so
-    when u is integral and u_0 = +-1 the whole run stays on ints.
+    Write u(q) = u_0 w(q) and let L be the lcm of the denominators of the
+    w_i below q^n.  Then W(x) = w(L x) has the integer coefficients
+    W_i = w_i L^i and W_0 = 1, so every coefficient V_m of W^alpha is an
+    integer, and Miller's recurrence
+    m V_m = sum_{i=1..m} ((alpha+1) i - m) W_i V_{m-i} from V_0 = 1 ends each
+    step in one exact floor division by m.  The sum visits the nonzero W_i
+    only: a base with none zero below q^n reads the whole of v reversed and
+    lets the product stop at its last term, a sparse one gathers its
+    v_{m-i}.  The result v_m = u_0^alpha V_m / L^m is formed once at the end.
+
+    An int u_0 = +-1 with an int tail (the test is on the types) has L = 1
+    and u_0^alpha = +-1, and builds no Fraction at all; any other base
+    builds Fractions for its ratios w_i and its rescaled result only.
     """
     if n <= 0:
         return []
     u0 = u[0]
-    v = [_exact(Fraction(u0) ** alpha)]
-    live = [i for i in range(1, min(n, len(u))) if u[i] != 0]
-    dense = len(live) == min(n, len(u)) - 1  # live is 1, 2, 3, ... with no gap
-    coeffs = [u[i] for i in live]
-    weights = [(alpha + 1) * i * u[i] for i in live]
-    count = 0  # live indices <= m
-    for m in range(1, n):
-        if count < len(live) and live[count] == m:
-            count += 1
-        if dense:
-            back = v[m - 1:m - count - 1:-1] if count < m else v[m - 1::-1]
-        else:
+    top = min(n, len(u))
+    integral = type(u0) is int and u0 in (1, -1) and all(type(c) is int for c in u[1:top])
+    if integral:
+        w = u if u0 == 1 else [1] + [-c for c in u[1:top]]
+    else:
+        cleared, scale = _clear_denominators([Fraction(c) / u0 for c in u[1:top]])
+        w, power = [1], 1
+        for c in cleared:  # W_i = (w_i L) L^(i-1)
+            w.append(c * power)
+            power *= scale
+    live = [i for i in range(1, top) if w[i]]
+    coeffs = [w[i] for i in live]
+    weights = [(alpha + 1) * i * w[i] for i in live]
+    v = [1]
+    if len(live) == top - 1:  # live is 1, 2, 3, ... with no gap
+        for m in range(1, n):
+            back = v[::-1]
+            v.append((sum(map(mul, weights, back)) - m * sum(map(mul, coeffs, back))) // m)
+    else:
+        count = 0  # live indices <= m
+        for m in range(1, n):
+            if count < len(live) and live[count] == m:
+                count += 1
             back = list(map(v.__getitem__, map(sub, repeat(m, count), live)))
-        s = sum(map(mul, weights, back)) - m * sum(map(mul, coeffs, back))
-        d = m * u0
-        if type(s) is int and type(d) is int:
-            q, r = divmod(s, d)
-            if r == 0:
-                v.append(q)
-                continue
-        v.append(_exact(Fraction(s, d)))
-    return v
+            v.append((sum(map(mul, weights, back)) - m * sum(map(mul, coeffs, back))) // m)
+    if integral:
+        return [-c for c in v] if u0 == -1 and alpha % 2 else v
+    lead = Fraction(u0) ** alpha
+    out, power = [], lead.denominator
+    for c in v:
+        out.append(_exact(Fraction(lead.numerator * c, power)))
+        power *= scale
+    return out
 
 
 @frozen_dataclass(init=False)

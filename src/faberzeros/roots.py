@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +40,10 @@ _MAX_ITER = 500
 
 
 def _check_tolerance(tol: float) -> None:
-    """Refuse a tolerance that would make a residual check vacuous or unsatisfiable."""
+    """Refuse a tolerance that is not a real number, or that would make a
+    residual check vacuous or unsatisfiable."""
+    if not isinstance(tol, numbers.Real):
+        raise DomainError(f"tolerance must be a real number, got {tol!r}")
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if tol < sys.float_info.epsilon:
@@ -89,6 +93,8 @@ class ComplexPoly:
             cs = [complex(c) for c in coeffs]
         except OverflowError as exc:
             raise DomainError(f"coefficients must be finite: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"coefficients must be complex: {exc}") from None
         while cs and cs[0] == 0:
             cs.pop(0)
         if len(cs) < 2:
@@ -228,8 +234,11 @@ def truncated_exp_inverse_zeros(d: int, tol: float = 1e-10) -> RootSet:
     The result depends on (d, tol) alone, so it is memoized per (d, tol)
     value, whether tol is passed by position, by keyword or left at its
     default, and the one immutable RootSet is shared by every caller; a
-    call that raises is not cached and raises again when repeated.
+    call that raises is not cached and raises again when repeated.  The
+    tolerance is checked before the memo is consulted, so one it cannot
+    hash is refused like any other that is not a real number.
     """
+    _check_tolerance(tol)
     return _exp_inverse_zeros(d, tol)
 
 

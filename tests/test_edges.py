@@ -273,6 +273,35 @@ def test_inversion_refuses_tolerance_below_its_floor(entry, tol):
         TOLERANCE_ENTRY_POINTS[entry](tol)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        *(
+            pytest.param(
+                lambda entry=entry, tol=tol: TOLERANCE_ENTRY_POINTS[entry](tol),
+                "tolerance must be a real number",
+                id=f"{entry}-tol={tol!r}",
+            )
+            for entry in sorted(TOLERANCE_ENTRY_POINTS)
+            for tol in ("x", None, [1])
+        ),
+        pytest.param(
+            lambda: ComplexPoly.from_coefficients(["a", 1]), "coefficients must be complex: ",
+            id="from_coefficients-string",
+        ),
+        pytest.param(
+            lambda: ComplexPoly.from_coefficients([1, None]), "coefficients must be complex: ",
+            id="from_coefficients-none",
+        ),
+    ],
+)
+def test_unparseable_tolerances_and_coefficients_are_domain_errors(call, message):
+    # comparing such a tol raises TypeError, and a list one cannot be a memo key;
+    # complex() raises ValueError or TypeError on such a coefficient
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("entry", ["invert_j", "zero_report[D=0]"])
 def test_inversion_accepts_its_floor(entry):
     TOLERANCE_ENTRY_POINTS[entry](MIN_INVERT_TOL)

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from faberzeros.cli import _series_json
 from faberzeros.errors import DomainError
-from faberzeros.faber import _eisenstein_inverse
+from faberzeros import qseries
+from faberzeros.faber import _eisenstein_inverse, j_power_table
 from faberzeros.qseries import (
     TruncatedSeries,
     _convolve,
+    _phi_coeffs,
     _power,
     delta_series,
     eisenstein_series,
@@ -280,6 +282,22 @@ def test_integral_unit_powers_stay_on_ints():
         assert all(type(c) is int for c in (u**e).coeffs)
 
 
+def test_integral_units_build_no_fraction(monkeypatch):
+    # inputs first: j_series and eisenstein_series build Fractions of their own
+    j_series(40)
+    phi = _phi_coeffs(40)
+    u = eta_unit(30)
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(qseries, "Fraction", NoFraction)
+    assert j_power_table.__wrapped__(40)[40][39] == 744 * 40
+    assert all(type(c) is int for c in _power(phi, -24 * 2 * 10**6, 40))
+    assert all(type(c) is int for c in (u**-7).coeffs)
+
+
 def naive_convolve(a, b, n):
     """Coefficients 0..n-1 of a * b by the double loop over all index pairs."""
     out = [0] * n
@@ -352,6 +370,10 @@ POWER_BASES = {
     "zero-at-3": [1, 2, 3, 0, 5],  # dense below n = 3 only
     "sparse-minus-one": [-1, 2, 0, -1, 5, 0, 0, 3],
     "sparse-fractions": [Fraction(2, 3), 0, Fraction(1, 2), 0, 0, -1],
+    # the int-only path is chosen by type: an int lead other than +-1 is rescaled
+    # by u_0^alpha, and a Fraction(1) lead takes the rational path to int results
+    "int-lead-seven": [7, -49, 42, -24, 28, -31],
+    "fraction-one-lead": [Fraction(1), 2, -3, 4, 1, -2],
 }
 
 
